@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .grammar import (
@@ -69,6 +70,9 @@ def _cmd_presentation(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")
     etas = _parse_etas(args.etas) if args.etas is not None else DEFAULT_ETAS
     reports = run_scope(args.scope, max_s=args.max_s, etas=etas, seed=args.seed, jobs=args.jobs)
     for report in reports:
@@ -108,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-s", type=int, default=2, dest="max_s")
     p.add_argument("--etas", default=None, help="comma-separated rationals or oo (default 0,1,oo)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes, 1 to the number of CPUs")
     p.set_defaults(func=_cmd_verify)
 
     return parser

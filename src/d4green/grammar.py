@@ -316,10 +316,6 @@ def parse_pres_element(src: str) -> PresElement:
             raise ParseError("expected '+', '-' or end of input", cur.pos)
 
 
-def render_pres_monomial(m: PresMonomial) -> str:
-    return str(m)
-
-
 def render_pres_element(p: PresElement) -> str:
     terms = p.terms()
     if not terms:

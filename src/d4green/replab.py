@@ -12,17 +12,21 @@ antipode, and :func:`decompose` splits an arbitrary representation into
 labelled indecomposables -- without ever consulting the symbolic
 multiplication table, so the two can be checked against each other.
 
-The decomposition works structurally:
+The decomposition works on the (b, c) weight spaces:
 
-1. ``bc`` is a central involution; its -1 eigenspace is a semisimple sum
-   of the two-dimensional simples, counted by rank arguments.
-2. On the +1 part, the square of the radical isolates the multiplicities
-   of the four-dimensional projectives.
-3. What remains has radical square zero and is equivalent to a pair of
-   linear maps (the ``a`` and ``d`` actions from top to socle), graded by
-   the ``b`` eigenvalue.  Kronecker's classification of matrix pencils
-   then yields the string (syzygy/cosyzygy) and band summands, with the
-   band parameter read off the generalised eigenvalues.
+1. b and c are commuting involutions, and a and d send weight (β, γ) to
+   (-β, -γ).  One change to a basis of weight vectors turns a and d into
+   blocks between paired weight spaces; :func:`_weight_split` is the only
+   place that computes eigenspaces of b and c.  Weights (1,-1) and (-1,1)
+   make up the bc = -1 part, a semisimple pile of two-dimensional simples
+   counted by the ranks of its blocks.
+2. On the bc = +1 part, weights (1,1) and (-1,-1), the square of the
+   radical isolates the multiplicities of the four-dimensional projectives.
+3. What remains has radical square zero.  For each b eigenvalue, the a and
+   d blocks from the top on that side to the socle on the other side form
+   a matrix pencil.  Kronecker's classification of pencils then yields the
+   string (syzygy/cosyzygy) and band summands, with the band parameter
+   read off the generalised eigenvalues.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .green import (
     ETA_INF,
@@ -55,9 +60,6 @@ from .linalg import (
     restrict_to_invariant,
     span_basis,
 )
-
-_HALF = Fraction(1, 2)
-
 
 class DecompositionError(RuntimeError):
     """Raised when a representation cannot be split over the rationals.
@@ -343,43 +345,141 @@ def is_isomorphic(m: Representation, n: Representation, seed: int | None = None)
     raise RuntimeError("isomorphism test inconclusive: no invertible combination found")
 
 
+# -- the (b, c) weight split ------------------------------------------------
+
+# The four (b, c) weights in the order _weight_split lists them.  Weights w
+# and w ^ 1 are paired: a and d send each to the other.
+_WEIGHTS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+
+
+class _Graded(NamedTuple):
+    """The a and d actions on one bc eigenspace, split by the b eigenvalue.
+
+    Side p is the weight space where b = (-1)^p.  a[p] and d[p] map side p
+    to side 1 - p, as (dim of side 1 - p) x (dim of side p) matrices.
+    """
+
+    a: tuple[RatMatrix, RatMatrix]
+    d: tuple[RatMatrix, RatMatrix]
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.a[0].cols, self.a[1].cols
+
+
+def _minus_diagonal(mat: RatMatrix, value: int) -> list[list[Fraction]]:
+    """Rows of mat - value * I, shifting the diagonal of a copy.
+
+    Building value * I and subtracting it would cost dense Fraction
+    arithmetic on every entry.
+    """
+    rows = [row[:] for row in mat.data]
+    for i, row in enumerate(rows):
+        row[i] -= value
+    return rows
+
+
+def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix]]:
+    """The (b, c) weight spaces of a module and the a, d blocks between them.
+
+    This is the only place that computes eigenspaces of b and c.  Returns
+    (plus, minus, basis): the bc = +1 part, weights (1,1) and (-1,-1), and
+    the bc = -1 part, weights (1,-1) and (-1,1), as :class:`_Graded`
+    blocks; and for each weight in ``_WEIGHTS`` order the matrix whose
+    columns are its basis vectors in module coordinates.  The standard
+    models are diagonal in (b, c), so for them that basis is a permutation.
+
+    Raises DecompositionError when the weight spaces do not fill the module
+    (b and c are not commuting involutions) or when a or d has a component
+    outside the flipped weight.
+    """
+    n = rep.dim
+    spaces = [
+        RatMatrix(2 * n, n, _minus_diagonal(rep.b, beta) + _minus_diagonal(rep.c, gamma)).kernel_basis()
+        for beta, gamma in _WEIGHTS
+    ]
+    if sum(map(len, spaces)) != n:
+        raise DecompositionError("b and c are not commuting involutions; defining relations fail")
+    pmat = RatMatrix.from_columns([v for space in spaces for v in space], rows=n)
+    pinv = pmat.inverse()
+    bounds = list(itertools.pairwise(itertools.accumulate(map(len, spaces), initial=0)))
+    blocks = []
+    for name, gen in (("a", rep.a), ("d", rep.d)):
+        mat = (pinv @ gen @ pmat).data
+        per_weight = []
+        for w, (lo, hi) in enumerate(bounds):
+            flo, fhi = bounds[w ^ 1]
+            if any(any(row[lo:hi]) for row in mat[:flo] + mat[fhi:]):
+                raise DecompositionError(f"{name} does not send each (b, c) weight to its negative")
+            per_weight.append(RatMatrix(fhi - flo, hi - lo, [row[lo:hi] for row in mat[flo:fhi]]))
+        blocks.append(per_weight)
+    a, d = blocks
+    basis = [RatMatrix(n, hi - lo, [row[lo:hi] for row in pmat.data]) for lo, hi in bounds]
+    return _Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), basis
+
+
+def _embed(basis: RatMatrix, vectors: list) -> list[list[Fraction]]:
+    """Module coordinates of vectors given in the coordinates of a weight basis."""
+    return (basis @ RatMatrix.from_columns(vectors, rows=basis.cols)).columns()
+
+
 # -- radical series ---------------------------------------------------------
 
 
-def _e_plus(rep: Representation) -> RatMatrix:
-    """Projector onto the +1 eigenspace of the central involution bc."""
-    n = rep.dim
-    return (RatMatrix.identity(n) + rep.b @ rep.c).scale(_HALF)
+def _radical(part: _Graded, sub: list | None = None) -> list[list[list[Fraction]]]:
+    """J U = a(U) + d(U) for a graded subspace U of a bc = +1 part.
+
+    U and the result are given side by side, as a basis of each side; U
+    defaults to the whole part.
+    """
+    out = []
+    for p in (0, 1):
+        gens = (part.a[1 - p], part.d[1 - p])
+        if sub is None:
+            vectors = [col for g in gens for col in g.columns()]
+        else:
+            vectors = [g.apply(v) for g in gens for v in sub[1 - p]]
+        out.append(span_basis(vectors, part.dims[p]))
+    return out
+
+
+def _socle(part: _Graded) -> list[list[list[Fraction]]]:
+    """Side by side, the joint kernel of a and d on a bc = +1 part."""
+    return [RatMatrix(2 * a.rows, a.cols, a.data + d.data).kernel_basis() for a, d in zip(part.a, part.d)]
 
 
 def radical_basis(rep: Representation) -> list[list[Fraction]]:
     """Basis of JM.
 
-    The radical ideal is spanned by a and d cut to the bc = +1 block, so
-    JM = a(e+ M) + d(e+ M) where e+ projects onto that block.
+    The radical ideal is spanned by a and d cut to the bc = +1 part, so JM
+    is a(M+) + d(M+), graded by the b eigenvalue.
     """
-    ep = _e_plus(rep)
-    ae, de = rep.a @ ep, rep.d @ ep
-    return span_basis(ae.columns() + de.columns(), rep.dim)
+    plus, _, basis = _weight_split(rep)
+    return [v for p, side in enumerate(_radical(plus)) for v in _embed(basis[p], side)]
 
 
 def socle_basis(rep: Representation) -> list[list[Fraction]]:
-    """Basis of the socle, the joint kernel of the radical action."""
-    ep = _e_plus(rep)
-    ae, de = rep.a @ ep, rep.d @ ep
-    stacked = RatMatrix(2 * rep.dim, rep.dim, ae.data + de.data)
-    return stacked.kernel_basis()
+    """Basis of the socle, the joint kernel of the radical action.
+
+    The radical kills the bc = -1 part, and on side p of the bc = +1 part
+    the socle is the joint kernel of a[p] and d[p].
+    """
+    plus, _, basis = _weight_split(rep)
+    out = basis[2].columns() + basis[3].columns()
+    for p, side in enumerate(_socle(plus)):
+        out += _embed(basis[p], side)
+    return out
 
 
 def loewy_length(rep: Representation) -> int:
     """Least k with J^k M = 0 (at most 3 for genuine modules)."""
-    ep = _e_plus(rep)
-    ae, de = rep.a @ ep, rep.d @ ep
-    layer = [row for row in RatMatrix.identity(rep.dim).data]
-    k = 0
-    while layer:
-        nxt = [ae.apply(v) for v in layer] + [de.apply(v) for v in layer]
-        layer = span_basis(nxt, rep.dim)
+    if rep.dim == 0:
+        return 0
+    plus, _, _ = _weight_split(rep)
+    layer = _radical(plus)
+    k = 1
+    while any(layer):
+        layer = _radical(plus, layer)
         k += 1
         if k > rep.dim + 1:
             raise DecompositionError("radical series does not terminate")
@@ -398,73 +498,42 @@ def _restrict(rep: Representation, basis: list) -> Representation:
     )
 
 
-def _quotient(rep: Representation, sub_basis: list) -> Representation:
-    proj, lift = quotient_maps(sub_basis, rep.dim)
-    return Representation(
-        proj @ rep.a @ lift, proj @ rep.b @ lift, proj @ rep.c @ lift, proj @ rep.d @ lift
-    )
-
-
-def _joint_eigen(m1: RatMatrix, v1: int, m2: RatMatrix, v2: int) -> list[list[Fraction]]:
-    n = m1.rows
-    ident = RatMatrix.identity(n)
-    top = m1 - ident.scale(v1)
-    bot = m2 - ident.scale(v2)
-    return RatMatrix(2 * n, n, top.data + bot.data).kernel_basis()
-
-
 def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix]:
     """Projective cover and the covering surjection.
 
-    The top is split into simple summands by simultaneous (b, c)
-    eigenvalues; matching projectives are assembled and their generators
-    lifted through the quotient.  Four-dimensional covers take a lift u to
-    the column block (u, au, du, adu); two-dimensional (projective simple)
-    covers take a socle-free vector w of the bc = -1 part to (w, aw).
+    The top splits by weight.  On side p of the bc = +1 part, each vector u
+    of a complement of the radical gives a P(p) summand on the columns
+    (u, au, du, adu).  On side r of the bc = -1 part, each vector w killed
+    by d gives a V(2,r) summand on the columns (w, aw).
     """
     n = rep.dim
     if n == 0:
         return rep, RatMatrix.zeros(0, 0)
-    a, b, c, d = rep.generators()
-    jm = radical_basis(rep)
-    proj, lift = quotient_maps(jm, n)
-    top_b = proj @ b @ lift
-    top_c = proj @ c @ lift
-    ep = _e_plus(rep)
+    plus, minus, basis = _weight_split(rep)
+    jm = _radical(plus)
 
     pieces: list[Representation] = []
     columns: list[list[Fraction]] = []
 
-    for r in (0, 1):
-        sign = 1 if r == 0 else -1
-        for t in _joint_eigen(top_b, sign, top_c, sign):
-            u = lift.apply(t)
-            u = ep.apply(u)
-            half_proj = (RatMatrix.identity(n) + b.scale(sign)).scale(_HALF)
-            u = half_proj.apply(u)
-            if proj.apply(u) != list(t):
-                raise DecompositionError("projective cover lift failed")
-            au = a.apply(u)
-            du = d.apply(u)
-            adu = a.apply(du)
-            pieces.append(build(projective(r)))
-            columns.extend([u, au, du, adu])
+    for p in (0, 1):
+        _, u = quotient_maps(jm[p], plus.dims[p])
+        du = plus.d[p] @ u
+        images = (
+            basis[p] @ u,
+            basis[1 - p] @ (plus.a[p] @ u),
+            basis[1 - p] @ du,
+            basis[p] @ (plus.a[1 - p] @ du),
+        )
+        for j in range(u.cols):
+            pieces.append(build(projective(p)))
+            columns.extend(m.column(j) for m in images)
 
-    bc = b @ c
-    minus = (bc + RatMatrix.identity(n)).kernel_basis()
-    if minus:
-        mmat = RatMatrix.from_columns(minus, rows=n)
-        b_on = restrict_to_invariant(b, minus)
-        for r in (0, 1):
-            sign = 1 if r == 0 else -1
-            u_r = (b_on - RatMatrix.identity(len(minus)).scale(sign)).kernel_basis()
-            if not u_r:
-                continue
-            umat = mmat @ RatMatrix.from_columns(u_r, rows=len(minus))
-            for coords in (d @ umat).kernel_basis():
-                w = umat.apply(coords)
-                pieces.append(build(simple_two(r)))
-                columns.extend([w, a.apply(w)])
+    for r in (0, 1):
+        w = RatMatrix.from_columns(minus.d[r].kernel_basis(), rows=minus.dims[r])
+        images = (basis[2 + r] @ w, basis[3 - r] @ (minus.a[r] @ w))
+        for j in range(w.cols):
+            pieces.append(build(simple_two(r)))
+            columns.extend(m.column(j) for m in images)
 
     cover = direct_sum(pieces)
     phi = RatMatrix.from_columns(columns, rows=n)
@@ -497,39 +566,33 @@ def cosyzygy(rep: Representation) -> Representation:
 def recover_eta(rep: Representation) -> Eta:
     """Band parameter of an indecomposable (s,s)-type representation.
 
-    Looks for the one vector v (up to scalar) in the top eigencomponent
-    whose images av, dv span at most a line; dv = -eta * av fixes the
-    parameter, with av = 0 marking the point at infinity.
+    The socle lies on one side of the bc = +1 part and the top on the
+    other, so a and d restrict to s x s blocks from top to socle.  The one
+    vector v (up to scalar) of the top whose images av, dv span at most a
+    line fixes the parameter by dv = -eta * av, with av = 0 marking the
+    point at infinity.
     """
     n = rep.dim
     if n == 0 or n % 2:
         raise ValueError("not an (s,s)-type representation")
     s = n // 2
-    if rep.b @ rep.c != RatMatrix.identity(n):
+    plus, minus, _ = _weight_split(rep)
+    if any(minus.dims):
         raise ValueError("band modules have bc acting as the identity")
-    soc = socle_basis(rep)
-    if len(soc) != s:
+    soc = _socle(plus)
+    if len(soc[0]) + len(soc[1]) != s:
         raise ValueError("socle length does not match (s,s)-type")
-    b_soc = restrict_to_invariant(rep.b, soc)
-    if b_soc == RatMatrix.identity(s):
-        r = 0
-    elif b_soc == RatMatrix.identity(s).scale(-1):
-        r = 1
-    else:
+    if soc[0] and soc[1]:
         raise ValueError("socle is not b-isotypic")
-    top_sign = -1 if r == 0 else 1
-    e_basis = (rep.b - RatMatrix.identity(n).scale(top_sign)).kernel_basis()
-    if len(e_basis) != s:
+    top = 1 if soc[0] else 0
+    if plus.dims[top] != s:
         raise ValueError("top eigencomponent has the wrong dimension")
-    emat = RatMatrix.from_columns(e_basis, rows=n)
-    ae = rep.a @ emat
-    de = rep.d @ emat
+    ae, de = plus.a[top], plus.d[top]
     ker = ae.kernel_basis()
     if ker:
         if len(ker) != 1:
             raise ValueError("kernel vector is not unique; not an (s,s) band")
-        v = emat.apply(ker[0])
-        if not any(rep.d.apply(v)):
+        if not any(de.apply(ker[0])):
             raise ValueError("candidate vector has av = dv = 0")
         return ETA_INF
     x = ae.solve_matrix(de)
@@ -767,91 +830,34 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
 # -- full decomposition -------------------------------------------------------
 
 
-def _two_dim_labels(rep: Representation) -> list[Label]:
-    """Split the bc = -1 block: a semisimple pile of two-dimensional simples."""
-    n = rep.dim
-    if n % 2:
-        raise DecompositionError("bc = -1 block has odd dimension")
-    half = n // 2
-    ident = RatMatrix.identity(n)
-    u_plus = (rep.b - ident).kernel_basis()
-    u_minus = (rep.b + ident).kernel_basis()
-    if len(u_plus) != half or len(u_minus) != half:
+def _two_dim_labels(part: _Graded) -> list[Label]:
+    """Labels of the bc = -1 part: a semisimple pile of two-dimensional simples."""
+    half = part.dims[0]
+    if part.dims[1] != half:
         raise DecompositionError("b eigenspaces of the bc = -1 block are unbalanced")
-    up = RatMatrix.from_columns(u_plus, rows=n) if u_plus else RatMatrix.zeros(n, 0)
-    um = RatMatrix.from_columns(u_minus, rows=n) if u_minus else RatMatrix.zeros(n, 0)
-    m0 = (rep.a @ up).rank()
-    m1 = (rep.a @ um).rank()
+    m0, m1 = part.a[0].rank(), part.a[1].rank()
     if m0 + m1 != half:
         raise DecompositionError("bc = -1 block is not a sum of two-dimensional simples")
-    if (rep.d @ up).rank() != m1 or (rep.d @ um).rank() != m0:
+    if part.d[0].rank() != m1 or part.d[1].rank() != m0:
         raise DecompositionError("d action inconsistent on the bc = -1 block")
     return [simple_two(0)] * m0 + [simple_two(1)] * m1
 
 
-def _ll2_labels(rep: Representation) -> list[Label]:
-    """Labels of a radical-square-zero representation with bc = +1."""
-    n = rep.dim
-    if n == 0:
-        return []
-    a, b, d = rep.a, rep.b, rep.d
-    soc = span_basis(a.columns() + d.columns(), n)
-    for v in soc:
-        if any(a.apply(v)) or any(d.apply(v)):
-            raise DecompositionError("radical square is nonzero after peeling")
-    proj_t, lift_t = quotient_maps(soc, n)
-    tdim = proj_t.rows
-    sdim = len(soc)
-    if tdim == 0:
-        raise DecompositionError("module equals its own radical")
-    if sdim == 0:
-        # semisimple pile of one-dimensional simples
-        b_t = proj_t @ b @ lift_t
-        p0 = len((b_t - RatMatrix.identity(tdim)).kernel_basis())
-        p1 = tdim - p0
-        return [simple_one(0)] * p0 + [simple_one(1)] * p1
+def _ll2_labels(part: _Graded) -> list[Label]:
+    """Labels of a radical-square-zero bc = +1 part.
 
-    smat = RatMatrix.from_columns(soc, rows=n)
-    alpha_full = smat.solve_matrix(a @ lift_t)
-    delta_full = smat.solve_matrix(d @ lift_t)
-    if alpha_full is None or delta_full is None:
-        raise DecompositionError("radical images escape the socle span")
-    b_t = proj_t @ b @ lift_t
-    b_s = restrict_to_invariant(b, soc)
-
-    t_par = [
-        (b_t - RatMatrix.identity(tdim)).kernel_basis(),
-        (b_t + RatMatrix.identity(tdim)).kernel_basis(),
-    ]
-    s_par = [
-        (b_s - RatMatrix.identity(sdim)).kernel_basis(),
-        (b_s + RatMatrix.identity(sdim)).kernel_basis(),
-    ]
-    if len(t_par[0]) + len(t_par[1]) != tdim or len(s_par[0]) + len(s_par[1]) != sdim:
-        raise DecompositionError("b does not act semisimply")
-
+    a and d map the top of side p into the socle of side 1 - p; the
+    Kronecker blocks of that pencil are the summands whose top has
+    b = (-1)^p.
+    """
+    soc = _radical(part)
     labels: list[Label] = []
     for p in (0, 1):
-        tp = t_par[p]
-        sq = s_par[1 - p]
-        if not tp:
-            if sq:
-                raise DecompositionError("socle component with empty matching top")
-            continue
-        tmat = RatMatrix.from_columns(tp, rows=tdim)
-        a_img = alpha_full @ tmat
-        d_img = delta_full @ tmat
-        if not sq:
-            if not a_img.is_zero() or not d_img.is_zero():
-                raise DecompositionError("generator action does not flip the grading")
-            alpha_p = delta_p = RatMatrix.zeros(0, len(tp))
-        else:
-            try:
-                alpha_p = express_in_basis(a_img.columns(), sq, sdim)
-                delta_p = express_in_basis(d_img.columns(), sq, sdim)
-            except ValueError as exc:
-                raise DecompositionError("generator action does not flip the grading") from exc
-        up, down, bands = _kronecker_blocks(alpha_p, delta_p)
+        q = 1 - p
+        _, lift = quotient_maps(soc[p], part.dims[p])
+        alpha = express_in_basis((part.a[p] @ lift).columns(), soc[q], part.dims[q])
+        delta = express_in_basis((part.d[p] @ lift).columns(), soc[q], part.dims[q])
+        up, down, bands = _kronecker_blocks(alpha, delta)
         for s, cnt in up.items():
             lab = simple_one(p) if s == 0 else Label(LabelKind.SYZYGY, (p + s) % 2, s)
             labels.extend([lab] * cnt)
@@ -862,27 +868,20 @@ def _ll2_labels(rep: Representation) -> list[Label]:
     return labels
 
 
-def _one_dim_type_labels(rep: Representation) -> list[Label]:
-    """Labels of the bc = +1 block: projectives plus the radical-square-zero core."""
-    n = rep.dim
-    a, d = rep.a, rep.d
-    j1 = span_basis(a.columns() + d.columns(), n)
-    j2 = span_basis(
-        [a.apply(v) for v in j1] + [d.apply(v) for v in j1], n
-    )
-    j3 = span_basis([a.apply(v) for v in j2] + [d.apply(v) for v in j2], n)
-    if j3:
+def _one_dim_type_labels(part: _Graded) -> list[Label]:
+    """Labels of the bc = +1 part: projectives plus the radical-square-zero core."""
+    j2 = _radical(part, _radical(part))
+    if any(_radical(part, j2)):
         raise DecompositionError("radical cube is nonzero")
-    p0 = p1 = 0
-    if j2:
-        b_j2 = restrict_to_invariant(rep.b, j2)
-        p0 = len((b_j2 - RatMatrix.identity(len(j2))).kernel_basis())
-        p1 = len(j2) - p0
-        core = _quotient(rep, j2)
-    else:
-        core = rep
+    # the core is the quotient by J^2, whose radical square is zero
+    proj, lift = zip(*(quotient_maps(j2[p], part.dims[p]) for p in (0, 1)))
+    core = _Graded(
+        tuple(proj[1 - p] @ part.a[p] @ lift[p] for p in (0, 1)),
+        tuple(proj[1 - p] @ part.d[p] @ lift[p] for p in (0, 1)),
+    )
     labels = _ll2_labels(core)
-    for r, count in ((0, p0), (1, p1)):
+    for r in (0, 1):
+        count = len(j2[r])
         shadow = Label(LabelKind.COSYZYGY, r, 1)
         for _ in range(count):
             try:
@@ -895,29 +894,17 @@ def _one_dim_type_labels(rep: Representation) -> list[Label]:
     return labels
 
 
-def decompose(rep: Representation, seed: int | None = None) -> list[Label]:
+def decompose(rep: Representation) -> list[Label]:
     """Multiset of indecomposable labels of a representation, sorted.
 
-    Deterministic; the seed argument exists for interface parity with
-    is_isomorphic and is unused.  Raises DecompositionError when the input
-    does not split into the known label set over the rationals.
+    Deterministic.  Raises DecompositionError when the input does not split
+    into the known label set over the rationals.
     """
-    del seed
     n = rep.dim
     if n == 0:
         return []
-    bc = rep.b @ rep.c
-    ident = RatMatrix.identity(n)
-    plus = (bc - ident).kernel_basis()
-    minus = (bc + ident).kernel_basis()
-    if len(plus) + len(minus) != n:
-        raise DecompositionError("bc is not an involution; defining relations fail")
-    labels: list[Label] = []
-    if minus:
-        labels.extend(_two_dim_labels(_restrict(rep, minus)))
-    if plus:
-        labels.extend(_one_dim_type_labels(_restrict(rep, plus)))
-    labels.sort()
+    plus, minus, _ = _weight_split(rep)
+    labels = sorted(_two_dim_labels(minus) + _one_dim_type_labels(plus))
     if sum(label_dimension(l) for l in labels) != n:
         raise DecompositionError("decomposition does not exhaust the space")
     return labels

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -72,6 +74,19 @@ def test_parse_error_exits_2(capsys):
 def test_bad_eta_csv_exits_2(capsys):
     code, _, err = run(capsys, "verify", "table", "--etas", "0,zz")
     assert code == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "3"])
+def test_verify_jobs_out_of_range_exits_2(capsys, monkeypatch, jobs):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    code, out, err = run(capsys, "verify", "table", "--max-s", "1", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "--jobs" in err
 
 
 def test_usage_error_exits_2(capsys):

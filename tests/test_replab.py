@@ -336,6 +336,53 @@ def test_decompose_is_basis_independent():
     assert decompose(rep) == sorted(pieces)
 
 
+def test_decompose_rejects_b_c_that_are_not_commuting_involutions():
+    rep = build(simple_two(0))
+    with pytest.raises(DecompositionError):
+        decompose(Representation(rep.a, RatMatrix.identity(2).scale(2), rep.c, rep.d))
+    swap = RatMatrix.from_rows([[0, 1], [1, 0]])  # an involution that does not commute with b
+    with pytest.raises(DecompositionError):
+        decompose(Representation(rep.a, rep.b, swap, rep.d))
+
+
+def test_decompose_rejects_generators_that_keep_a_weight():
+    import random
+
+    rep = build(band(2, 0, '1/2'))
+    keep = RatMatrix.zeros(4, 4)
+    keep.data[0][0] = Fraction(1)  # maps weight (-1,-1) into itself
+    for broken in (
+        Representation(rep.a + keep, rep.b, rep.c, rep.d),
+        Representation(rep.a, rep.b, rep.c, rep.d + keep),
+    ):
+        with pytest.raises(DecompositionError):
+            decompose(_conjugate(broken, random.Random(9)))
+
+
+def test_module_structure_is_basis_independent():
+    import random
+
+    rng = random.Random(11)
+    pieces = [projective(0), omega(2, 1), omega(-1, 0), band(2, 0, '1/2'), simple_two(1), simple_one(1)]
+    for rep in [build(l) for l in pieces] + [direct_sum([build(l) for l in pieces])]:
+        conj = _conjugate(rep, rng)
+        assert len(radical_basis(conj)) == len(radical_basis(rep))
+        assert len(socle_basis(conj)) == len(socle_basis(rep))
+        assert loewy_length(conj) == loewy_length(rep)
+        cover, phi = projective_cover_map(conj)
+        std_cover, std_phi = projective_cover_map(rep)
+        assert decompose(cover) == decompose(std_cover)
+        assert phi.rank() == std_phi.rank() == rep.dim
+
+
+def test_recover_eta_is_basis_independent():
+    import random
+
+    rng = random.Random(13)
+    for s, r, e in ((1, 0, eta('5/7')), (2, 1, ETA_INF), (3, 0, eta(-2)), (2, 0, eta(0))):
+        assert recover_eta(_conjugate(build(band(s, r, e)), rng)) == e
+
+
 def test_decompose_with_adversarial_band_parameters():
     # every small integer pencil shift collides with one of these
     # parameters, so the shift search has to iterate
@@ -391,11 +438,6 @@ def test_decompose_rejects_non_module():
     )
     with pytest.raises(DecompositionError):
         decompose(bad)
-
-
-def test_decompose_seed_is_ignored():
-    rep = tensor(build(omega(1, 0)), build(omega(-1, 0)))
-    assert decompose(rep, seed=1) == decompose(rep, seed=99)
 
 
 # -- braiding -----------------------------------------------------------------------
