@@ -26,7 +26,10 @@ The decomposition works on the (b, c) weight spaces:
    d blocks from the top on that side to the socle on the other side form
    a matrix pencil.  Kronecker's classification of pencils then yields the
    string (syzygy/cosyzygy) and band summands, with the band parameter
-   read off the generalised eigenvalues.
+   read off the generalised eigenvalues.  These are found without
+   factoring any integer: the square-free part of the characteristic
+   polynomial, made monic by scaling its variable, has integers for its
+   rational roots, and Sturm-sequence bisection isolates them.
 """
 
 from __future__ import annotations
@@ -682,58 +685,105 @@ def _charpoly(mat: RatMatrix) -> list[Fraction]:
     return poly
 
 
-def _divisors(n: int) -> list[int]:
-    """Positive divisors; trial division with a cap, leftover treated prime."""
-    n = abs(n)
-    factors: dict[int, int] = {}
-    d = 2
-    while d * d <= n and d < 1_000_000:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    divs = [1]
-    for p, e in factors.items():
-        divs = [dv * p**k for dv in divs for k in range(e + 1)]
-        if len(divs) > 50_000:
-            raise DecompositionError("too many divisor candidates in eigenvalue search")
-    return divs
-
-
-def _poly_eval(poly: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _poly_eval(poly: list[int], x: int) -> int:
+    acc = 0
     for c in reversed(poly):
         acc = acc * x + c
     return acc
 
 
+def _poly_divmod(num: list, den: list) -> tuple[list, list]:
+    """Quotient and remainder over Q; coefficients low to high, no trailing zeros."""
+    rem = [Fraction(c) for c in num]
+    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    for shift in reversed(range(len(quo))):
+        q = quo[shift] = rem[shift + len(den) - 1] / den[-1]
+        for i, c in enumerate(den):
+            rem[shift + i] -= q * c
+    rem = rem[: len(den) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _derivative(poly: list) -> list:
+    return [i * c for i, c in enumerate(poly)][1:]
+
+
+def _sign_changes(seq: list[list[Fraction]], x: int) -> int:
+    """Sign changes of the Sturm sequence at x, zeros skipped.
+
+    The values are computed here, not by _poly_eval, which is reserved for
+    the exact test of each root candidate.
+    """
+    signs = []
+    for poly in seq:
+        acc = Fraction(0)
+        for c in reversed(poly):
+            acc = acc * x + c
+        if acc:
+            signs.append(acc > 0)
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _integer_roots(h: list[int]) -> list[int]:
+    """Integer roots of a square-free monic integer polynomial of degree >= 1.
+
+    Sturm's theorem counts the real roots in (lo, hi] as the drop in sign
+    changes from lo to hi.  Bisection on integers, starting from the Cauchy
+    bound, keeps only intervals that hold a real root; each unit interval
+    left is one candidate, its right end, tested exactly with _poly_eval.
+    """
+    seq = [h, _derivative(h)]
+    while len(seq[-1]) > 1:
+        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
+    bound = 1 + max(abs(c) for c in h[:-1])
+    found = []
+    todo = [(-bound, _sign_changes(seq, -bound), bound, _sign_changes(seq, bound))]
+    while todo:
+        lo, v_lo, hi, v_hi = todo.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 1:
+            if _poly_eval(h, hi) == 0:
+                found.append(hi)
+            continue
+        mid = (lo + hi) // 2
+        v_mid = _sign_changes(seq, mid)
+        todo += [(lo, v_lo, mid, v_mid), (mid, v_mid, hi, v_hi)]
+    return found
+
+
 def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     """Rational eigenvalues of phi with Jordan block sizes.
 
-    Candidate roots come from the rational root theorem applied to the
-    characteristic polynomial; each found eigenvalue gets its Jordan data
-    from kernel ranks.  Raises when the blocks do not exhaust the space,
-    i.e. some eigenvalue is irrational.
+    The eigenvalues are found without factoring any integer.  The square-free
+    part p / gcd(p, p') of the characteristic polynomial p, with denominators
+    cleared and a simple root at zero split off, is an integer polynomial g
+    of degree n with leading coefficient L.  Substituting y = L x gives the
+    monic h(y) = L^(n-1) g(y / L), whose rational roots are integers; they
+    are isolated by _integer_roots and mapped back to x = y / L.  Each
+    eigenvalue gets its Jordan data from kernel ranks.  Raises when the
+    blocks do not exhaust the space, i.e. some eigenvalue is irrational.
     """
     m = phi.rows
     if m == 0:
         return []
     poly = _charpoly(phi)
-    den = lcm(*[c.denominator for c in poly], 1)
-    ints = [int(c * den) for c in poly]
+    gcd, rem = poly, _derivative(poly)
+    while rem:
+        gcd, rem = rem, _poly_divmod(gcd, rem)[1]
+    free = _poly_divmod(poly, gcd)[0]
+    den = lcm(*[c.denominator for c in free])
+    g = [int(c * den) for c in free]
     roots: set[Fraction] = set()
-    low = 0
-    while low <= m and ints[low] == 0:
-        low += 1
-    if low > 0:
+    if not g[0]:
         roots.add(Fraction(0))
-    for u in _divisors(ints[low]):
-        for v in _divisors(ints[m]):
-            for cand in (Fraction(u, v), Fraction(-u, v)):
-                if cand not in roots and _poly_eval(poly, cand) == 0:
-                    roots.add(cand)
+        g = g[1:]
+    n, lead = len(g) - 1, g[-1]
+    if n:
+        h = [c * lead ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
+        roots.update(Fraction(y, lead) for y in _integer_roots(h))
 
     ident = RatMatrix.identity(m)
     blocks: list[tuple[Fraction, list[int]]] = []
@@ -759,7 +809,8 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
         total += sum(sizes)
     if total != m:
         raise DecompositionError(
-            "band part has non-rational generalised eigenvalues (rationality gap)"
+            "band part has non-rational generalised eigenvalues (rationality gap): "
+            f"the rational eigenvalues cover {total} of the {m} dimensions of the block"
         )
     return blocks
 
@@ -774,13 +825,15 @@ def _kronecker_blocks(alpha: RatMatrix, delta: RatMatrix):
     shifts = [Fraction(0)]
     for k in range(1, alpha.rows + 3):
         shifts.extend((Fraction(k), Fraction(-k)))
-    last_error: Exception | None = None
     for c in shifts:
         try:
             return _kronecker_with_shift(alpha, delta, c)
-        except _BadShift as exc:
-            last_error = exc
-    raise DecompositionError(f"no pencil shift separates the band part: {last_error}")
+        except _BadShift:
+            pass
+    raise DecompositionError(
+        f"no pencil shift separates the band part of the {alpha.rows} x {alpha.cols} "
+        f"pencil: {len(shifts)} shifts tried"
+    )
 
 
 def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):

@@ -108,6 +108,12 @@ def test_verify_all_small(capsys):
     assert out.count("PASS") == 3
 
 
+def test_verify_table_large_etas(capsys):
+    code, out, _ = run(capsys, "verify", "table", "--max-s", "2", "--etas", "1000036000099,210/221")
+    assert code == 0
+    assert "[table] PASS" in out
+
+
 def test_verify_empty_etas(capsys):
     code, out, _ = run(capsys, "verify", "table", "--max-s", "1", "--etas", "")
     assert code == 0

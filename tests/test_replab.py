@@ -1,7 +1,12 @@
+import itertools
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from d4green import replab
 from d4green.green import (
     ETA_INF,
     GreenElement,
@@ -427,6 +432,75 @@ def test_decompose_random_direct_sums():
         pieces = [rng.choice(pool) for _ in range(rng.randint(1, 5))]
         rep = direct_sum([build(l) for l in pieces])
         assert decompose(rep) == sorted(pieces)
+
+
+HUGE_ETA = eta(1000003 * 1000033)
+PRIMES_ABOVE_A_MILLION = (1000003, 1000033, 1000037, 1000039, 1000081, 1000099, 1000117, 1000121)
+
+
+@pytest.mark.parametrize(
+    "label", [band(2, 0, HUGE_ETA), band(8, 0, eta('210/221'))], ids=["huge", "eightfold"]
+)
+def test_decompose_band_with_large_parameter(label):
+    # an eigenvalue with prime factors above 10^6; an eight-fold eigenvalue
+    assert decompose(build(label)) == [label]
+
+
+def test_decompose_band_pairs_with_large_parameters():
+    # equal parameters give repeated eigenvalues: the square-free step
+    etas = (eta('210/221'), eta('221/210'), HUGE_ETA)
+    bands = [band(s, r, e) for s in (1, 2, 3) for r in (0, 1) for e in etas]
+    for l1, l2 in itertools.product(bands, repeat=2):
+        assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2)), (l1, l2)
+
+
+_big = st.lists(st.sampled_from(PRIMES_ABOVE_A_MILLION), min_size=1, max_size=3).map(prod)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 1), _big, _big, st.sampled_from([1, -1]))
+def test_decompose_band_with_composite_parameter(s, r, p, q, sign):
+    label = band(s, r, Fraction(sign * p, q))
+    assert decompose(build(label)) == [label]
+
+
+def _companion_module(coeffs):
+    """Radical-square-zero module whose pencil from top to socle is
+    (identity, -companion(x^n + ... + coeffs[0])): its generalised
+    eigenvalues are the roots of that polynomial."""
+    n = len(coeffs)
+    weights = RatMatrix.diagonal([1] * n + [-1] * n)
+    a, d = RatMatrix.zeros(2 * n, 2 * n), RatMatrix.zeros(2 * n, 2 * n)
+    for i in range(n):
+        a.data[n + i][i] = Fraction(1)
+        d.data[n + i][n - 1] = Fraction(coeffs[i])
+        if i:
+            d.data[n + i][i - 1] = Fraction(-1)
+    return Representation(a, weights, weights, d)
+
+
+@pytest.mark.parametrize(
+    "coeffs,covered",
+    [
+        ((-2, 0), "cover 0 of the 2 dimensions"),  # x^2 - 2
+        ((6, -2, -3), "cover 1 of the 3 dimensions"),  # (x - 3)(x^2 - 2)
+    ],
+    ids=["no-rational-root", "one-rational-root"],
+)
+def test_decompose_rejects_irrational_band_parameter(coeffs, covered):
+    rep = _companion_module(coeffs)
+    assert check_relations(rep)
+    with pytest.raises(DecompositionError, match=f"rationality gap.*{covered}"):
+        decompose(rep)
+
+
+def test_decompose_names_the_pencil_no_shift_separates(monkeypatch):
+    def bad_shift(alpha, delta, c):
+        raise replab._BadShift
+
+    monkeypatch.setattr(replab, "_kronecker_with_shift", bad_shift)
+    with pytest.raises(DecompositionError, match=r"2 x 2 pencil: 9 shifts tried"):
+        decompose(build(band(2, 1, '5/7')))
 
 
 def test_decompose_rejects_non_module():
