@@ -9,7 +9,13 @@ Subcommands::
     d4green presentation from-modules "[O^2V(0)]"
     d4green verify table --max-s 2 --etas 0,1,oo --seed 7 --jobs 2
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
+3 internal error (an unexpected exception, reported on one line as
+``error: internal: <Type>: <message>``).
+
+Integers are printed and parsed without the interpreter's default limit
+of 4300 digits, which results such as ``from-modules "[O^20000V(0)]"``
+exceed; the limit is lifted for the duration of :func:`main` only.
 """
 
 from __future__ import annotations
@@ -121,6 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -129,6 +137,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # anything else is a bug, kept apart from exit 1
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

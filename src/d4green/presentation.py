@@ -142,12 +142,15 @@ class GroupRingPair(NamedTuple):
 
 
 def a_seq(n: int) -> int:
-    """Closed-form sequence 1/2 * sum_{i=1}^{n-1} (3^(i-1)+1)(n-i); a_1 = 0."""
+    """The sequence 1/2 * sum_{i=1}^{n-1} (3^(i-1)+1)(n-i); a_1 = 0.
+
+    In closed form a_n = ((3^n - 2n - 1)/4 + n(n-1)/2) / 2: the sum of
+    3^(i-1)(n-i) is (3^n - 2n - 1)/4 and the sum of n-i is n(n-1)/2.  Both
+    divisions are exact.
+    """
     if n < 1:
         raise ValueError("a_seq is defined for n >= 1")
-    total = sum((3 ** (i - 1) + 1) * (n - i) for i in range(1, n))
-    # each summand is even, so the halving is exact
-    return total // 2
+    return ((3**n - 2 * n - 1) // 4 + n * (n - 1) // 2) // 2
 
 
 def f_poly(n: int) -> GroupRingPair:
@@ -236,16 +239,21 @@ def _mul_cores(m1: PresMonomial, m2: PresMonomial) -> PresElement:
 
 
 def _mixed_yz(m: int, n: int) -> PresElement:
-    """y^m z^n, reduced by peeling one yz = 1 + 2x^2 pair at a time."""
-    if m == 0 and n == 0:
-        return PresElement.unit()
-    if m == 0:
-        return PresElement.from_monomial(mono_z(n))
-    if n == 0:
-        return PresElement.from_monomial(mono_y(m))
-    rest = _mixed_yz(m - 1, n - 1)
-    x2 = PresElement.from_monomial(mono_x2())
-    return rest + nf_mul(x2, rest).scaled(2)
+    """y^m z^n in closed form.
+
+    With k = min(m, n), yz = 1 + 2x^2 and x^4 = 2(1+g)x^2 give
+    (1+2x^2)^k = 1 + 2k x^2 + ((9^k - 8k - 1)/8)(1+g)x^2.  The leftover
+    power w^j of y or z, j = |m - n|, acts on x^2 as (1+2g)^j and on
+    (1+g)x^2 as 3^j.
+    """
+    k, j = min(m, n), abs(m - n)
+    if j == 0:
+        head = mono_one()
+    else:
+        head = mono_y(j) if m > n else mono_z(j)
+    c0, c1 = _pow_one_plus_two_g(j)
+    shared = (9**k - 8 * k - 1) // 8 * 3**j
+    return PresElement([(head, 1), (mono_x2(), 2 * k * c0 + shared), (mono_x2(1), 2 * k * c1 + shared)])
 
 
 def _string_times_band(kind: PresKind, m: int, bmono: PresMonomial) -> PresElement:

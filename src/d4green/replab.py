@@ -235,12 +235,29 @@ def check_relations(rep: Representation) -> bool:
 # -- monoidal structure ----------------------------------------------------
 
 
+def _coproduct(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> RatMatrix:
+    """x (x) y + 1 (x) z, for square x, y and z with y and z of one size.
+
+    1 (x) z is z in every diagonal block, so z is added into the diagonal
+    blocks of x (x) y in place rather than formed as a second dense matrix.
+    """
+    out = x.kron(y)
+    k = z.rows
+    for i in range(x.rows):
+        base = i * k
+        for r, zrow in enumerate(z.data):
+            row = out.data[base + r]
+            for j, v in enumerate(zrow):
+                if v:
+                    row[base + j] += v
+    return out
+
+
 def tensor(m: Representation, n: Representation) -> Representation:
     """Tensor product along the comultiplication a -> a(x)b + 1(x)a, d -> d(x)c + 1(x)d."""
-    im = RatMatrix.identity(m.dim)
-    a = m.a.kron(n.b) + im.kron(n.a)
-    d = m.d.kron(n.c) + im.kron(n.d)
-    return Representation(a, m.b.kron(n.b), m.c.kron(n.c), d)
+    return Representation(
+        _coproduct(m.a, n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), _coproduct(m.d, n.c, n.d)
+    )
 
 
 def dual(m: Representation) -> Representation:
@@ -441,7 +458,8 @@ def _radical(part: _Graded, sub: list | None = None) -> list[list[list[Fraction]
         if sub is None:
             vectors = [col for g in gens for col in g.columns()]
         else:
-            vectors = [g.apply(v) for g in gens for v in sub[1 - p]]
+            u = RatMatrix.from_columns(sub[1 - p], rows=part.dims[1 - p])
+            vectors = [col for g in gens for col in (g @ u).columns()]
         out.append(span_basis(vectors, part.dims[p]))
     return out
 
@@ -633,7 +651,7 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
     k = span_basis(a1.kernel_basis(), dim_t)
     dims = [0, len(k)]
     while True:
-        img = span_basis([delta.apply(v) for v in k], dim_s)
+        img = span_basis((delta @ RatMatrix.from_columns(k, rows=dim_t)).columns(), dim_s)
         k2 = preimage_basis(a1, img)
         if len(k2) == len(k):
             break
@@ -650,8 +668,8 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
             raise _BadShift
         if cnt:
             counts[s] = cnt
-    t_part = k
-    s_part = span_basis([delta.apply(v) for v in k], dim_s)
+    # the loop ends with img = delta(k) for the final k
+    t_part, s_part = k, img
     if sum((s + 1) * c for s, c in counts.items()) != len(t_part):
         raise _BadShift
     if sum(s * c for s, c in counts.items()) != len(s_part):

@@ -1,12 +1,15 @@
 import json
 import multiprocessing
 import os
+import sys
 
 import pytest
 
-from d4green import green
+from d4green import cli, green
 from d4green.cli import main
+from d4green.grammar import parse_pres_element
 from d4green.green import GreenElement, projective
+from d4green.presentation import PresElement, mono_y, mono_z, to_green
 from d4green.verify import run_table
 
 
@@ -63,6 +66,33 @@ def test_presentation_to_modules(capsys):
     code, out, _ = run(capsys, "presentation", "to-modules", "X_{2,1/3}")
     assert code == 0
     assert out == "[M_2(0,1/3)]"
+
+
+def test_normal_form_of_deep_mixed_power(capsys):
+    code, out, err = run(capsys, "presentation", "normal-form", "y^1200*z^1200")
+    assert (code, err) == (0, "")
+    y, z = (to_green(PresElement.from_monomial(m)) for m in (mono_y(1200), mono_z(1200)))
+    assert to_green(parse_pres_element(out)) == green.mul(y, z)
+
+
+def test_output_beyond_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "presentation", "from-modules", "[O^20000V(0)]")
+    assert code == 0
+    assert max(len(word) for word in out.split()) > limit
+    assert sys.get_int_max_str_digits() == limit
+    code, back, _ = run(capsys, "presentation", "to-modules", out)
+    assert (code, back) == (0, "[O^20000V(0)]")
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_internal_error_exits_3(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_dual", broken)
+    code, out, err = run(capsys, "dual", "[P(0)]")
+    assert (code, out, err) == (3, "", "error: internal: RuntimeError: boom")
 
 
 def test_parse_error_exits_2(capsys):

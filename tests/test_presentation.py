@@ -31,6 +31,11 @@ def test_a_seq_values():
         a_seq(0)
 
 
+def test_a_seq_closed_form_matches_sum():
+    for n in range(1, 400):
+        assert a_seq(n) == sum((3 ** (i - 1) + 1) * (n - i) for i in range(1, n)) // 2
+
+
 def test_a_seq_recurrence():
     for n in range(1, 51):
         assert 3 * a_seq(n) - n * (n - 1) // 2 == a_seq(n + 1) - n
@@ -74,6 +79,36 @@ def test_nf_mul_mixed_power():
     assert to_green(y2z) == mul(
         mul(to_green(y), to_green(y)), to_green(z)
     )
+
+
+def _mixed_yz_by_peeling(m, n):
+    """y^m z^n by peeling one yz = 1 + 2x^2 pair at a time: the reference."""
+    if m == 0 or n == 0:
+        return nf_mul(pe((mono_y(m), 1)) if m else PresElement.unit(), pe((mono_z(n), 1)) if n else PresElement.unit())
+    rest = _mixed_yz_by_peeling(m - 1, n - 1)
+    return rest + nf_mul(pe((mono_x2(), 1)), rest).scaled(2)
+
+
+def test_mixed_yz_closed_form_matches_peeling():
+    for m in range(1, 30):
+        for n in range(1, 30):
+            assert nf_mul(pe((mono_y(m), 1)), pe((mono_z(n), 1))) == _mixed_yz_by_peeling(m, n)
+
+
+@pytest.mark.parametrize("g", [0, 1])
+def test_mixed_yz_matches_label_model(g):
+    for m in (1, 2, 5, 13, 40):
+        for n in (1, 3, 5, 17, 40):
+            y, z = pe((mono_y(m, g), 1)), pe((mono_z(n), 1))
+            assert to_green(nf_mul(y, z)) == mul(to_green(y), to_green(z))
+
+
+def test_mixed_yz_deep_powers():
+    # peeling recursed min(m, n) frames deep and raised RecursionError here
+    got = nf_mul(pe((mono_y(1500), 1)), pe((mono_z(1200), 1)))
+    k = (9**1200 - 8 * 1200 - 1) // 8 * 3**300
+    c0, c1 = (3**300 + 1) // 2, (3**300 - 1) // 2
+    assert got == pe((mono_y(300), 1), (mono_x2(), 2400 * c0 + k), (mono_x2(1), 2400 * c1 + k))
 
 
 def test_to_green_examples():

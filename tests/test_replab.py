@@ -20,6 +20,7 @@ from d4green.green import (
     simple_two,
 )
 from d4green.linalg import RatMatrix
+from d4green.verify import DEFAULT_ETAS, grid_labels
 from d4green.replab import (
     DecompositionError,
     Representation,
@@ -101,6 +102,20 @@ def test_tensor_satisfies_relations():
 
 
 # -- monoidal structure ----------------------------------------------------------
+
+
+def test_tensor_matches_coproduct_formula():
+    # tensor adds 1 (x) a into the diagonal blocks of a (x) b in place; the
+    # reference forms both Kronecker products and adds them densely
+    labels = grid_labels(2, DEFAULT_ETAS)
+    for m, n in itertools.product(map(build, labels), repeat=2):
+        ident = RatMatrix.identity(m.dim)
+        assert tensor(m, n) == Representation(
+            m.a.kron(n.b) + ident.kron(n.a),
+            m.b.kron(n.b),
+            m.c.kron(n.c),
+            m.d.kron(n.c) + ident.kron(n.d),
+        )
 
 
 def test_tensor_simple_two_square_is_projective():
