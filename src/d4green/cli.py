@@ -117,7 +117,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scope", choices=("table", "presentation", "braiding", "all"))
     p.add_argument("--max-s", type=int, default=2, dest="max_s")
     p.add_argument("--etas", default=None, help="comma-separated rationals or oo (default 0,1,oo)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--seed", type=int, default=0,
+        help="seeds the random words of the presentation scope; table and braiding only print it",
+    )
     p.add_argument("--jobs", type=int, default=1, help="worker processes, 1 to the number of CPUs")
     p.set_defaults(func=_cmd_verify)
 

@@ -2,8 +2,15 @@
 
 Everything here is deterministic and tolerance-free: ranks, kernels and
 solves are computed by reduced row echelon form with exact ``Fraction``
-arithmetic.  Matrices are small (at most a few thousand entries), so a
-dense row-major layout with sparsity-aware elimination is plenty.
+arithmetic.  Matrices reach a few hundred rows (the tensor product of two
+15-dimensional modules is 225 x 225) but are mostly zero, so rows are dense
+lists and elimination, products and Kronecker products work per nonzero
+entry.
+
+Zero rule: a zero entry should be the shared object ``_ZERO``.  Those
+kernels test ``x is not _ZERO and x``, so a shared zero costs one identity
+check and any other zero falls through to ``Fraction.__bool__``.  The rule
+changes speed, never a result.
 """
 
 from __future__ import annotations
@@ -17,6 +24,12 @@ _ONE = Fraction(1)
 
 def _fr(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def _fr_list(v: Iterable) -> list[Fraction]:
+    """The entries of v as a new list of Fractions, copied at C speed if they all are."""
+    v = list(v)
+    return v if set(map(type, v)) <= {Fraction} else [_fr(x) for x in v]
 
 
 class RatMatrix:
@@ -33,7 +46,7 @@ class RatMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "RatMatrix":
-        data = [[_fr(x) for x in row] for row in rows]
+        data = [_fr_list(row) for row in rows]
         n = len(data)
         m = len(data[0]) if data else 0
         if any(len(r) != m for r in data):
@@ -61,12 +74,14 @@ class RatMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
-        cols = [list(c) for c in columns]
+        cols = [_fr_list(c) for c in columns]
         if rows is None:
             if not cols:
                 raise ValueError("need explicit row count for a matrix with no columns")
             rows = len(cols[0])
-        data = [[_fr(cols[j][i]) for j in range(len(cols))] for i in range(rows)]
+        if any(len(c) != rows for c in cols):
+            raise ValueError(f"ragged columns: expected {rows} entries each")
+        data = [list(r) for r in zip(*cols)] if cols else [[] for _ in range(rows)]
         return cls(rows, len(cols), data)
 
     # -- basics --------------------------------------------------------
@@ -85,7 +100,7 @@ class RatMatrix:
         return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.data for x in row)
+        return all(x is _ZERO or not x for row in self.data for x in row)
 
     def __eq__(self, other) -> bool:
         return (
@@ -131,15 +146,12 @@ class RatMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i, row in enumerate(self.data):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if a:
-                    orow = odata[k]
-                    for j, b in enumerate(orow):
-                        if b:
-                            acc[j] = acc[j] + a * b
+        onz = _nonzeros(other.data)
+        for acc, row in zip(out, self.data):
+            for a, orow in zip(row, onz):
+                if a is not _ZERO and a:
+                    for j, b in orow:
+                        acc[j] = acc[j] + a * b
         return RatMatrix(self.rows, other.cols, out)
 
     def apply(self, vec: Sequence) -> list[Fraction]:
@@ -149,7 +161,7 @@ class RatMatrix:
         for row in self.data:
             s = _ZERO
             for a, x in zip(row, vec):
-                if a and x:
+                if a is not _ZERO and a and x:
                     s += a * _fr(x)
             out.append(s)
         return out
@@ -161,15 +173,14 @@ class RatMatrix:
         """Tensor product: entry ((i*rB+k), (j*cB+l)) is self[i,j]*other[k,l]."""
         rb, cb = other.rows, other.cols
         out = [[_ZERO] * (self.cols * cb) for _ in range(self.rows * rb)]
+        onz = _nonzeros(other.data)
         for i, row in enumerate(self.data):
             for j, a in enumerate(row):
-                if a:
-                    for k, orow in enumerate(other.data):
-                        dest = out[i * rb + k]
-                        base = j * cb
-                        for l, b in enumerate(orow):
-                            if b:
-                                dest[base + l] = a * b
+                if a is not _ZERO and a:
+                    base = j * cb
+                    for dest, orow in zip(out[i * rb : (i + 1) * rb], onz):
+                        for l, b in orow:
+                            dest[base + l] = a * b
         return RatMatrix(self.rows * rb, self.cols * cb, out)
 
     def _check_same_shape(self, other: "RatMatrix"):
@@ -199,7 +210,9 @@ class RatMatrix:
             v = [_ZERO] * self.cols
             v[f] = _ONE
             for i, p in enumerate(pivots):
-                v[p] = -data[i][f]
+                x = data[i][f]
+                if x is not _ZERO and x:
+                    v[p] = -x
             basis.append(v)
         return basis
 
@@ -268,35 +281,42 @@ class RatMatrix:
         return inv
 
 
+def _nonzeros(data: list[list[Fraction]]) -> list[list[tuple[int, Fraction]]]:
+    """(column, entry) of the nonzero entries of each row."""
+    return [[(j, x) for j, x in enumerate(row) if x is not _ZERO and x] for row in data]
+
+
 def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:
-    """Reduce rows in place; returns pivot column indices."""
+    """Reduce rows in place; returns pivot column indices.  Eliminated entries become ``_ZERO``."""
     pivots: list[int] = []
     nrows = len(data)
     r = 0
     for c in range(cols):
         piv = None
         for i in range(r, nrows):
-            if data[i][c]:
+            x = data[i][c]
+            if x is not _ZERO and x:
                 piv = i
                 break
         if piv is None:
             continue
         data[r], data[piv] = data[piv], data[r]
         prow = data[r]
+        nz = [j for j in range(c + 1, cols) if (x := prow[j]) is not _ZERO and x]
         pval = prow[c]
         if pval != 1:
             inv = _ONE / pval
-            for j in range(c, cols):
-                if prow[j]:
-                    prow[j] *= inv
+            prow[c] = _ONE
+            for j in nz:
+                prow[j] *= inv
         for i in range(nrows):
             if i != r:
-                f = data[i][c]
-                if f:
-                    row = data[i]
-                    for j in range(c, cols):
-                        if prow[j]:
-                            row[j] = row[j] - f * prow[j]
+                row = data[i]
+                f = row[c]
+                if f is not _ZERO and f:
+                    for j in nz:
+                        row[j] = row[j] - f * prow[j]
+                    row[c] = _ZERO
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -313,11 +333,10 @@ def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:
 
 def span_basis(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]:
     """Reduced echelon basis of the span of the given vectors."""
-    rows = [[_fr(x) for x in v] for v in vectors]
+    rows = [_fr_list(v) for v in vectors]
     if not rows:
         return []
-    _rref_inplace(rows, dim)
-    return [row for row in rows if any(row)]
+    return rows[: len(_rref_inplace(rows, dim))]
 
 
 def preimage_basis(m: RatMatrix, span: list[Sequence]) -> list[list[Fraction]]:
@@ -348,7 +367,7 @@ def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, RatMa
     pivots = []
     for row in basis:
         for j, x in enumerate(row):
-            if x:
+            if x is not _ZERO and x:
                 pivots.append(j)
                 break
     pivot_set = set(pivots)
@@ -358,7 +377,9 @@ def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, RatMa
     for qi, j in enumerate(free):
         proj.data[qi][j] = _ONE
         for bi, p in enumerate(pivots):
-            proj.data[qi][p] = -basis[bi][j]
+            x = basis[bi][j]
+            if x is not _ZERO and x:
+                proj.data[qi][p] = -x
     lift = RatMatrix.zeros(dim, q)
     for qi, j in enumerate(free):
         lift.data[j][qi] = _ONE

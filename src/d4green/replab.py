@@ -55,6 +55,7 @@ from .green import (
     simple_two,
 )
 from .linalg import (
+    _ZERO,
     RatMatrix,
     annihilator_basis,
     express_in_basis,
@@ -418,19 +419,26 @@ def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix
         RatMatrix(2 * n, n, _minus_diagonal(rep.b, beta) + _minus_diagonal(rep.c, gamma)).kernel_basis()
         for beta, gamma in _WEIGHTS
     ]
-    if sum(map(len, spaces)) != n:
-        raise DecompositionError("b and c are not commuting involutions; defining relations fail")
+    dims = [len(space) for space in spaces]
+    if sum(dims) != n:
+        raise DecompositionError(
+            "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
+            f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
+        )
     pmat = RatMatrix.from_columns([v for space in spaces for v in space], rows=n)
     pinv = pmat.inverse()
-    bounds = list(itertools.pairwise(itertools.accumulate(map(len, spaces), initial=0)))
+    bounds = list(itertools.pairwise(itertools.accumulate(dims, initial=0)))
     blocks = []
     for name, gen in (("a", rep.a), ("d", rep.d)):
         mat = (pinv @ gen @ pmat).data
         per_weight = []
         for w, (lo, hi) in enumerate(bounds):
             flo, fhi = bounds[w ^ 1]
-            if any(any(row[lo:hi]) for row in mat[:flo] + mat[fhi:]):
-                raise DecompositionError(f"{name} does not send each (b, c) weight to its negative")
+            if any(x is not _ZERO and x for row in mat[:flo] + mat[fhi:] for x in row[lo:hi]):
+                raise DecompositionError(
+                    f"{name} does not send each (b, c) weight to its negative: "
+                    f"it sends part of weight {_WEIGHTS[w]} outside weight {_WEIGHTS[w ^ 1]}"
+                )
             per_weight.append(RatMatrix(fhi - flo, hi - lo, [row[lo:hi] for row in mat[flo:fhi]]))
         blocks.append(per_weight)
     a, d = blocks

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rat_matrices
 from d4green.linalg import (
+    _ZERO,
     RatMatrix,
     annihilator_basis,
     express_in_basis,
@@ -116,6 +118,69 @@ def test_kron_multiplicative(a, b):
     c = RatMatrix.identity(a.cols)
     d = RatMatrix.identity(b.cols)
     assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
+
+
+def test_from_columns_rejects_ragged_columns():
+    with pytest.raises(ValueError, match="ragged columns"):
+        RatMatrix.from_columns([[1, 2], [3]])
+    with pytest.raises(ValueError, match="ragged columns"):
+        RatMatrix.from_columns([[1, 2, 3], [4, 5, 6]], rows=2)
+    with pytest.raises(ValueError, match="ragged columns"):
+        RatMatrix.from_columns([[1], [2]], rows=2)
+    assert RatMatrix.from_columns([], rows=2) == RatMatrix(2, 0, [[], []])
+    assert RatMatrix.from_columns([[1, 2], [3, 4]]) == RatMatrix.from_rows([[1, 3], [2, 4]])
+
+
+def test_int_inputs_give_fraction_entries():
+    # recover_eta divides a sum of such entries by an int: an int entry
+    # would make that a float division
+    rows = [[2, 4, 0], [1, Fraction(1, 2), 3], [Fraction(3), Fraction(0), Fraction(-1, 3)]]
+    m = RatMatrix.from_rows(rows)
+    outputs = [
+        m.data,
+        RatMatrix.from_columns(rows).data,
+        span_basis(rows, 3),
+        RatMatrix.from_rows(rows[:2]).kernel_basis(),
+        RatMatrix.from_rows([[1, 2, 0]]).kernel_basis(),
+        m.transpose().kernel_basis(),
+    ]
+    assert all(type(x) is Fraction for rows_out in outputs for row in rows_out for x in row)
+
+
+def _with_zeros(m: RatMatrix, zero) -> RatMatrix:
+    return RatMatrix(m.rows, m.cols, [[x if x else zero() for x in row] for row in m.data])
+
+
+@given(rat_matrices(max_dim=5), st.data())
+@settings(max_examples=80)
+def test_zero_rule_changes_no_result(m, data):
+    """A zero entry that is not the shared _ZERO changes no result of a kernel."""
+    mask = data.draw(st.lists(st.booleans(), min_size=m.rows * m.cols, max_size=m.rows * m.cols))
+    sparse = RatMatrix(
+        m.rows, m.cols, [[0 if mask[i * m.cols + j] else x for j, x in enumerate(row)] for i, row in enumerate(m.data)]
+    )
+
+    def results(a: RatMatrix) -> list:
+        t = a.transpose()
+        out = [
+            a.rref(),
+            a.kernel_basis(),
+            a @ t,
+            t @ a,
+            a.kron(t),
+            span_basis(a.data, a.cols),
+            a.solve_matrix(a),
+            a.solve_matrix(RatMatrix.identity(a.rows)),
+        ]
+        if a.is_invertible():
+            out.append(a.inverse())
+        return out
+
+    shared = results(_with_zeros(sparse, lambda: _ZERO))
+    assert shared == results(_with_zeros(sparse, lambda: Fraction(0)))
+    a = _with_zeros(sparse, lambda: _ZERO)
+    product = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in a.data] for row in a.data]
+    assert shared[2] == RatMatrix(a.rows, a.rows, product)
 
 
 def test_quotient_maps():

@@ -358,10 +358,11 @@ def test_decompose_is_basis_independent():
 
 def test_decompose_rejects_b_c_that_are_not_commuting_involutions():
     rep = build(simple_two(0))
-    with pytest.raises(DecompositionError):
+    none_found = r"dimensions \{\(1, 1\): 0, \(-1, -1\): 0, \(1, -1\): 0, \(-1, 1\): 0\} sum to 0, not n = 2"
+    with pytest.raises(DecompositionError, match=none_found):
         decompose(Representation(rep.a, RatMatrix.identity(2).scale(2), rep.c, rep.d))
     swap = RatMatrix.from_rows([[0, 1], [1, 0]])  # an involution that does not commute with b
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match=none_found):
         decompose(Representation(rep.a, rep.b, swap, rep.d))
 
 
@@ -371,11 +372,12 @@ def test_decompose_rejects_generators_that_keep_a_weight():
     rep = build(band(2, 0, '1/2'))
     keep = RatMatrix.zeros(4, 4)
     keep.data[0][0] = Fraction(1)  # maps weight (-1,-1) into itself
-    for broken in (
-        Representation(rep.a + keep, rep.b, rep.c, rep.d),
-        Representation(rep.a, rep.b, rep.c, rep.d + keep),
+    for name, broken in (
+        ("a", Representation(rep.a + keep, rep.b, rep.c, rep.d)),
+        ("d", Representation(rep.a, rep.b, rep.c, rep.d + keep)),
     ):
-        with pytest.raises(DecompositionError):
+        leaves = rf"^{name} does not send .*: it sends part of weight \(-1, -1\) outside weight \(1, 1\)$"
+        with pytest.raises(DecompositionError, match=leaves):
             decompose(_conjugate(broken, random.Random(9)))
 
 
