@@ -29,19 +29,19 @@ from .grammar import (
     ParseError,
     element_to_json,
     parse_element,
+    parse_eta,
     parse_pres_element,
     pres_to_json,
     render_element,
     render_pres_element,
 )
-from .green import dual, eta, mul
+from .green import dual, mul
 from .presentation import from_green, to_green
 from .verify import DEFAULT_ETAS, run_scope
 
 
 def _parse_etas(csv: str):
-    items = [part.strip() for part in csv.split(",")]
-    return tuple(eta(part) for part in items if part)
+    return tuple(parse_eta(part) for part in csv.split(",") if part.strip())
 
 
 def _emit(args, element=None, pres=None) -> None:
@@ -116,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="cross-check the models over a grid")
     p.add_argument("scope", choices=("table", "presentation", "braiding", "all"))
     p.add_argument("--max-s", type=int, default=2, dest="max_s")
-    p.add_argument("--etas", default=None, help="comma-separated rationals or oo (default 0,1,oo)")
+    p.add_argument("--etas", default=None, help="comma-separated etas, each oo or [-]p[/q] (default 0,1,oo)")
     p.add_argument(
         "--seed", type=int, default=0,
         help="seeds the random words of the presentation scope; table and braiding only print it",

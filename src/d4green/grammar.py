@@ -120,6 +120,15 @@ class _Cursor:
         return Eta(-value if neg else value)
 
 
+def parse_eta(src: str) -> Eta:
+    """Parse one band parameter, alone, in the eta syntax of the element grammar."""
+    cur = _Cursor(src)
+    value = cur.eta()
+    if not cur.at_end():
+        raise ParseError("expected end of input after eta", cur.pos)
+    return value
+
+
 def _parse_label(cur: _Cursor) -> Label:
     cur.skip_ws()
     start = cur.pos

@@ -15,11 +15,11 @@ multiplication table, so the two can be checked against each other.
 The decomposition works on the (b, c) weight spaces:
 
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
-   (-β, -γ).  One change to a basis of weight vectors turns a and d into
-   blocks between paired weight spaces; :func:`_weight_split` is the only
-   place that computes eigenspaces of b and c.  Weights (1,-1) and (-1,1)
-   make up the bc = -1 part, a semisimple pile of two-dimensional simples
-   counted by the ranks of its blocks.
+   (-β, -γ).  :func:`_weight_split` reads the weights off the diagonals of
+   b and c and cuts a and d into blocks between paired weight spaces; it
+   computes joint eigenvectors only for modules in other bases.  Weights
+   (1,-1) and (-1,1) make up the bc = -1 part, a semisimple pile of
+   two-dimensional simples counted by the ranks of its blocks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the square of the
    radical isolates the multiplicities of the four-dimensional projectives.
 3. What remains has radical square zero.  For each b eigenvalue, the a and
@@ -56,6 +56,7 @@ from .green import (
 )
 from .linalg import (
     _ZERO,
+    _nonzeros,
     RatMatrix,
     annihilator_basis,
     express_in_basis,
@@ -249,7 +250,7 @@ def _coproduct(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> RatMatrix:
         for r, zrow in enumerate(z.data):
             row = out.data[base + r]
             for j, v in enumerate(zrow):
-                if v:
+                if v is not _ZERO and v:
                     row[base + j] += v
     return out
 
@@ -388,37 +389,15 @@ class _Graded(NamedTuple):
         return self.a[0].cols, self.a[1].cols
 
 
-def _minus_diagonal(mat: RatMatrix, value: int) -> list[list[Fraction]]:
-    """Rows of mat - value * I, shifting the diagonal of a copy.
+def _joint_eigenbasis(rep: Representation) -> tuple[Representation, RatMatrix]:
+    """rep in a basis of joint eigenvectors of b and c, listed by weight, and that basis.
 
-    Building value * I and subtracting it would cost dense Fraction
-    arithmetic on every entry.
-    """
-    rows = [row[:] for row in mat.data]
-    for i, row in enumerate(rows):
-        row[i] -= value
-    return rows
-
-
-def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix]]:
-    """The (b, c) weight spaces of a module and the a, d blocks between them.
-
-    This is the only place that computes eigenspaces of b and c.  Returns
-    (plus, minus, basis): the bc = +1 part, weights (1,1) and (-1,-1), and
-    the bc = -1 part, weights (1,-1) and (-1,1), as :class:`_Graded`
-    blocks; and for each weight in ``_WEIGHTS`` order the matrix whose
-    columns are its basis vectors in module coordinates.  The standard
-    models are diagonal in (b, c), so for them that basis is a permutation.
-
-    Raises DecompositionError when the weight spaces do not fill the module
-    (b and c are not commuting involutions) or when a or d has a component
-    outside the flipped weight.
+    Raises DecompositionError when the joint kernels do not fill the module.
     """
     n = rep.dim
-    spaces = [
-        RatMatrix(2 * n, n, _minus_diagonal(rep.b, beta) + _minus_diagonal(rep.c, gamma)).kernel_basis()
-        for beta, gamma in _WEIGHTS
-    ]
+    ident = RatMatrix.identity(n)
+    shifted = [(rep.b - ident.scale(beta)).data + (rep.c - ident.scale(gamma)).data for beta, gamma in _WEIGHTS]
+    spaces = [RatMatrix(2 * n, n, rows).kernel_basis() for rows in shifted]
     dims = [len(space) for space in spaces]
     if sum(dims) != n:
         raise DecompositionError(
@@ -427,22 +406,42 @@ def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix
         )
     pmat = RatMatrix.from_columns([v for space in spaces for v in space], rows=n)
     pinv = pmat.inverse()
-    bounds = list(itertools.pairwise(itertools.accumulate(dims, initial=0)))
+    b, c = (RatMatrix.diagonal([w[k] for w, space in zip(_WEIGHTS, spaces) for _ in space]) for k in (0, 1))
+    return Representation(pinv @ rep.a @ pmat, b, c, pinv @ rep.d @ pmat), pmat
+
+
+def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix]]:
+    """The (b, c) weight spaces of a module and the a, d blocks between them.
+
+    Returns (plus, minus, basis): the bc = +1 and bc = -1 parts as
+    :class:`_Graded` blocks, and per weight in ``_WEIGHTS`` order the matrix
+    of its basis vectors.  Weights are read off the diagonals of b and c; a
+    module in another basis is first rewritten by :func:`_joint_eigenbasis`.
+    Raises DecompositionError when a or d has a part outside the flipped weight.
+    """
+    n = rep.dim
+    groups = [[i for i in range(n) if (rep.b.data[i][i], rep.c.data[i][i]) == w] for w in _WEIGHTS]
+    off_diagonal = any(j != i for m in (rep.b, rep.c) for i, row in enumerate(_nonzeros(m.data)) for j, _ in row)
+    if off_diagonal or sum(map(len, groups)) != n:
+        rewritten, pmat = _joint_eigenbasis(rep)
+        plus, minus, basis = _weight_split(rewritten)
+        return plus, minus, [pmat @ m for m in basis]
+    weight = {i: w for w, group in enumerate(groups) for i in group}
     blocks = []
-    for name, gen in (("a", rep.a), ("d", rep.d)):
-        mat = (pinv @ gen @ pmat).data
-        per_weight = []
-        for w, (lo, hi) in enumerate(bounds):
-            flo, fhi = bounds[w ^ 1]
-            if any(x is not _ZERO and x for row in mat[:flo] + mat[fhi:] for x in row[lo:hi]):
-                raise DecompositionError(
-                    f"{name} does not send each (b, c) weight to its negative: "
-                    f"it sends part of weight {_WEIGHTS[w]} outside weight {_WEIGHTS[w ^ 1]}"
-                )
-            per_weight.append(RatMatrix(fhi - flo, hi - lo, [row[lo:hi] for row in mat[flo:fhi]]))
-        blocks.append(per_weight)
+    for name, rows in (("a", rep.a.data), ("d", rep.d.data)):
+        kept = [weight[j] for i, row in enumerate(_nonzeros(rows)) for j, _ in row if weight[i] != weight[j] ^ 1]
+        if kept:
+            raise DecompositionError(
+                f"{name} does not send each (b, c) weight to its negative: "
+                f"it sends part of weight {_WEIGHTS[min(kept)]} outside weight {_WEIGHTS[min(kept) ^ 1]}"
+            )
+        blocks.append([
+            RatMatrix(len(groups[w ^ 1]), len(cols), [[rows[i][j] for j in cols] for i in groups[w ^ 1]])
+            for w, cols in enumerate(groups)
+        ])
     a, d = blocks
-    basis = [RatMatrix(n, hi - lo, [row[lo:hi] for row in pmat.data]) for lo, hi in bounds]
+    ident = RatMatrix.identity(n).data
+    basis = [RatMatrix.from_columns([ident[i] for i in group], rows=n) for group in groups]
     return _Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), basis
 
 

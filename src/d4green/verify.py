@@ -152,16 +152,6 @@ def _grid_monomials(max_n: int, etas):
     return monos
 
 
-def _grid_label_set(max_n: int, etas):
-    labels = []
-    for r in (0, 1):
-        labels.extend([simple_one(r), simple_two(r), projective(r)])
-        for n in range(1, max_n + 1):
-            labels.extend([omega(n, r), omega(-n, r)])
-            labels.extend(band(n, r, e) for e in etas)
-    return labels
-
-
 def _relation_images(mul_n: int, etas) -> list[tuple[str, str, GreenElement]]:
     """Every defining relation of the quotient presentation, evaluated in
     the label model through the generator images; all must be zero.
@@ -249,7 +239,7 @@ def run_presentation(
         p = PresElement.from_monomial(m)
         if from_green(to_green(p)) != p:
             report.failures.append(f"round trip fails on monomial {m}")
-    labels = _grid_label_set(round_n, etas)
+    labels = grid_labels(round_n, etas)
     for label in labels:
         report.checks += 1
         e = GreenElement.from_label(label)

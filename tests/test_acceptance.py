@@ -9,6 +9,8 @@ import itertools
 import os
 import random
 
+import pytest
+
 from d4green.green import (
     ETA_INF,
     GreenElement,
@@ -50,6 +52,16 @@ def test_criterion_1_table_oracle_equivalence():
         "1 table-oracle equivalence",
         rep.passed and cases == 19,
         f"{rep.checks} pairs, {cases} cases, {len(rep.failures)} failures",
+    )
+
+
+@pytest.mark.slow
+def test_table_oracle_equivalence_up_to_s8():
+    rep = run_table(max_s=8, etas=FULL_ETAS, seed=0, jobs=JOBS)
+    report(
+        "s <= 8 table-oracle equivalence",
+        rep.passed and rep.checks == 7021 and len(rep.lines) == 19,
+        f"{rep.checks} pairs, {len(rep.lines)} cases, {len(rep.failures)} failures",
     )
 
 

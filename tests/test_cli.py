@@ -102,8 +102,10 @@ def test_parse_error_exits_2(capsys):
 
 
 def test_bad_eta_csv_exits_2(capsys):
-    code, _, err = run(capsys, "verify", "table", "--etas", "0,zz")
-    assert code == 2
+    for etas in ("0,zz", "1/0", "0.5"):
+        code, out, err = run(capsys, "verify", "table", "--etas", etas)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "internal" not in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "3"])

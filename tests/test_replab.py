@@ -352,8 +352,13 @@ def test_decompose_is_basis_independent():
         simple_one(0),
         band(2, 0, ETA_INF),
     ]
-    rep = _conjugate(direct_sum([build(l) for l in pieces]), rng)
-    assert decompose(rep) == sorted(pieces)
+    rep = direct_sum([build(l) for l in pieces])
+    # an upper unitriangular basis change keeps the diagonals of b and c
+    n = rep.dim
+    shear = RatMatrix.from_rows([[int(i <= j) for j in range(n)] for i in range(n)])
+    sheared = Representation(*(shear @ x @ shear.inverse() for x in rep.generators()))
+    for conj in (_conjugate(rep, rng), sheared):
+        assert decompose(conj) == sorted(pieces)
 
 
 def test_decompose_rejects_b_c_that_are_not_commuting_involutions():
@@ -377,8 +382,31 @@ def test_decompose_rejects_generators_that_keep_a_weight():
         ("d", Representation(rep.a, rep.b, rep.c, rep.d + keep)),
     ):
         leaves = rf"^{name} does not send .*: it sends part of weight \(-1, -1\) outside weight \(1, 1\)$"
-        with pytest.raises(DecompositionError, match=leaves):
-            decompose(_conjugate(broken, random.Random(9)))
+        for module in (broken, _conjugate(broken, random.Random(9))):
+            with pytest.raises(DecompositionError, match=leaves):
+                decompose(module)
+
+
+def test_weight_read_off_matches_joint_eigenbasis_rewrite():
+    labels = grid_labels(2, DEFAULT_ETAS)
+    reps = [build(l) for l in grid_labels(3, DEFAULT_ETAS)]
+    reps += [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
+    for rep in reps:
+        plus, minus, basis = replab._weight_split(rep)
+        rewritten, pmat = replab._joint_eigenbasis(rep)
+        r_plus, r_minus, r_basis = replab._weight_split(rewritten)
+        assert (r_plus, r_minus) == (plus, minus)
+        assert [pmat @ m for m in r_basis] == basis
+
+
+def test_standard_models_never_reach_the_joint_eigenbasis(monkeypatch):
+    def rewrite(rep):
+        raise AssertionError("a standard model reached the joint eigenbasis rewrite")
+
+    monkeypatch.setattr(replab, "_joint_eigenbasis", rewrite)
+    replab._build_cached.cache_clear()
+    l1, l2 = omega(3, 0), omega(-3, 0)
+    assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
 
 
 def test_module_structure_is_basis_independent():
