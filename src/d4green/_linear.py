@@ -9,7 +9,8 @@ class LinearCombination:
     """Finite integer-coefficient map over hashable, sortable basis keys.
 
     Zero coefficients are never stored; equality and hashing are by the
-    underlying map.  Subclasses supply the multiplication.
+    underlying map.  The constructor is the one place where terms are
+    summed.  Subclasses supply the ring product as ``_ring_mul``.
     """
 
     __slots__ = ("_coeffs",)
@@ -23,7 +24,7 @@ class LinearCombination:
                 c0 = store.get(key, 0) + c
                 if c0:
                     store[key] = c0
-                elif key in store:
+                else:
                     del store[key]
         self._coeffs = store
 
@@ -56,26 +57,12 @@ class LinearCombination:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            c0 = out.get(k, 0) + c
-            if c0:
-                out[k] = c0
-            elif k in out:
-                del out[k]
-        return self._wrap(out)
+        return type(self)([*self._coeffs.items(), *other._coeffs.items()])
 
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self._coeffs)
-        for k, c in other._coeffs.items():
-            c0 = out.get(k, 0) - c
-            if c0:
-                out[k] = c0
-            elif k in out:
-                del out[k]
-        return self._wrap(out)
+        return self + -other
 
     def __neg__(self):
         return self._wrap({k: -c for k, c in self._coeffs.items()})
@@ -85,6 +72,18 @@ class LinearCombination:
         if not n:
             return self._wrap({})
         return self._wrap({k: n * c for k, c in self._coeffs.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self.scaled(other)
+        if isinstance(other, type(self)):
+            return self._ring_mul(other)
+        return NotImplemented
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self.scaled(other)
+        return NotImplemented
 
     def _wrap(self, coeffs: dict):
         obj = type(self).__new__(type(self))

@@ -31,7 +31,6 @@ from .green import (
     Eta,
     GreenElement,
     Label,
-    LabelKind,
     band,
     omega,
     projective,
@@ -40,7 +39,6 @@ from .green import (
 )
 from .presentation import (
     PresElement,
-    PresKind,
     PresMonomial,
     mono_band,
     mono_one,
@@ -168,27 +166,24 @@ def _parse_label(cur: _Cursor) -> Label:
     raise ParseError("expected a module label", start)
 
 
-def parse_element(src: str) -> GreenElement:
-    """Parse an integer combination of bracketed labels; '0' is the zero element."""
+def _parse_sum(src: str, cls, parse_term):
+    """Read a signed sum of terms into one ``cls`` element; '0' is zero.
+
+    ``parse_term`` reads one term at the cursor and returns its
+    (key, coefficient) pairs.
+    """
     if src.strip() == "0":
-        return GreenElement.zero()
+        return cls.zero()
     cur = _Cursor(src)
-    acc = GreenElement.zero()
+    pairs = []
     sign = -1 if cur.take("-") else 1
     if sign == 1:
         cur.take("+")
     while True:
         cur.skip_ws()
-        coeff = 1
-        if cur.peek().isdigit():
-            coeff = cur.uint()
-            cur.expect("*")
-        cur.expect("[")
-        label = _parse_label(cur)
-        cur.expect("]")
-        acc = acc + GreenElement.from_label(label, sign * coeff)
+        pairs.extend((key, sign * c) for key, c in parse_term(cur))
         if cur.at_end():
-            return acc
+            return cls(pairs)
         if cur.take("+"):
             sign = 1
         elif cur.take("-"):
@@ -197,44 +192,57 @@ def parse_element(src: str) -> GreenElement:
             raise ParseError("expected '+', '-' or end of input", cur.pos)
 
 
+def _parse_label_term(cur: _Cursor) -> list[tuple[Label, int]]:
+    coeff = 1
+    if cur.peek().isdigit():
+        coeff = cur.uint()
+        cur.expect("*")
+    cur.expect("[")
+    label = _parse_label(cur)
+    cur.expect("]")
+    return [(label, coeff)]
+
+
+def parse_element(src: str) -> GreenElement:
+    """Parse an integer combination of bracketed labels; '0' is the zero element."""
+    return _parse_sum(src, GreenElement, _parse_label_term)
+
+
 def render_label(label: Label) -> str:
     return f"[{label}]"
 
 
-def render_element(e: GreenElement) -> str:
-    """Canonical text form: terms in label order, unit coefficients omitted."""
-    terms = e.terms()
+def _render_sum(terms, body) -> str:
+    """Canonical text of (key, coefficient) terms, ``body`` rendering a key.
+
+    A unit magnitude is omitted, and a body of exactly '1' is replaced by
+    the magnitude.
+    """
     if not terms:
         return "0"
     parts = []
-    for i, (label, coeff) in enumerate(terms):
-        mag = abs(coeff)
-        body = render_label(label) if mag == 1 else f"{mag}*{render_label(label)}"
+    for i, (key, coeff) in enumerate(terms):
+        mag, text = abs(coeff), body(key)
+        if mag != 1:
+            text = f"{mag}*{text}" if text != "1" else str(mag)
         if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
+            parts.append(text if coeff > 0 else f"-{text}")
         else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
+            parts.append(f"{'+' if coeff > 0 else '-'} {text}")
     return " ".join(parts)
 
 
-def render_eta(e: Eta) -> str:
-    return str(e)
+def render_element(e: GreenElement) -> str:
+    """Canonical text form: terms in label order, unit coefficients omitted."""
+    return _render_sum(e.terms(), render_label)
 
 
 def label_to_json(label: Label) -> dict:
-    kind = {
-        LabelKind.SIMPLE_ONE: "simple_one",
-        LabelKind.SIMPLE_TWO: "simple_two",
-        LabelKind.PROJECTIVE: "projective",
-        LabelKind.SYZYGY: "syzygy",
-        LabelKind.COSYZYGY: "cosyzygy",
-        LabelKind.BAND: "band",
-    }[label.kind]
-    out: dict = {"kind": kind, "r": label.r}
-    if label.kind in (LabelKind.SYZYGY, LabelKind.COSYZYGY, LabelKind.BAND):
+    out: dict = {"kind": label.kind.name.lower(), "r": label.r}
+    if label.s:
         out["s"] = label.s
-    if label.kind is LabelKind.BAND:
-        out["eta"] = render_eta(label.eta)
+    if label.eta is not None:
+        out["eta"] = str(label.eta)
     return out
 
 
@@ -245,12 +253,7 @@ def element_to_json(e: GreenElement) -> dict:
 # -- presentation side ----------------------------------------------------
 
 
-_GEN_ELEMENTS = {
-    "g": lambda: PresElement.from_monomial(mono_one(1)),
-    "x": lambda: PresElement.from_monomial(mono_x()),
-    "y": lambda: PresElement.from_monomial(mono_y(1)),
-    "z": lambda: PresElement.from_monomial(mono_z(1)),
-}
+_GENERATORS = {"g": mono_one(1), "x": mono_x(), "y": mono_y(1), "z": mono_z(1)}
 
 
 def _parse_pres_factor(cur: _Cursor) -> PresElement:
@@ -269,9 +272,9 @@ def _parse_pres_factor(cur: _Cursor) -> PresElement:
         base = PresElement.unit()
     else:
         ch = cur.peek()
-        if ch in _GEN_ELEMENTS:
+        if ch in _GENERATORS:
             cur.pos += 1
-            base = _GEN_ELEMENTS[ch]()
+            base = PresElement.from_monomial(_GENERATORS[ch])
         else:
             raise ParseError("expected a generator (1, g, x, y, z or X_{n,eta})", start)
     if cur.take("^"):
@@ -283,79 +286,38 @@ def _parse_pres_factor(cur: _Cursor) -> PresElement:
     return base
 
 
+def _parse_pres_term(cur: _Cursor) -> list[tuple[PresMonomial, int]]:
+    coeff = 1
+    start = cur.pos
+    if cur.peek().isdigit():
+        coeff = cur.uint()
+        if cur.src[start : cur.pos] == "1":
+            # the unit factor, as in 1^2*x; any other number, 01 and 12
+            # included, is a coefficient
+            coeff, cur.pos = 1, start
+        elif not cur.take("*"):
+            return [(mono_one(), coeff)]
+    term = _parse_pres_factor(cur)
+    while cur.take("*"):
+        term = nf_mul(term, _parse_pres_factor(cur))
+    return [(m, coeff * c) for m, c in term.terms()]
+
+
 def parse_pres_element(src: str) -> PresElement:
     """Parse a presentation expression and reduce it to normal form."""
-    if src.strip() == "0":
-        return PresElement.zero()
-    cur = _Cursor(src)
-    acc = PresElement.zero()
-    sign = -1 if cur.take("-") else 1
-    if sign == 1:
-        cur.take("+")
-    while True:
-        cur.skip_ws()
-        coeff = 1
-        term = None
-        if cur.peek().isdigit() and cur.peek() != "1":
-            coeff = cur.uint()
-            if not cur.take("*"):
-                term = PresElement.unit()
-        elif cur.peek() == "1":
-            # could be the unit factor or the start of a number like 12
-            save = cur.pos
-            num = cur.uint()
-            if num != 1:
-                coeff = num
-                if not cur.take("*"):
-                    term = PresElement.unit()
-            else:
-                cur.pos = save
-        if term is None:
-            term = _parse_pres_factor(cur)
-            while cur.take("*"):
-                term = nf_mul(term, _parse_pres_factor(cur))
-        acc = acc + term.scaled(sign * coeff)
-        if cur.at_end():
-            return acc
-        if cur.take("+"):
-            sign = 1
-        elif cur.take("-"):
-            sign = -1
-        else:
-            raise ParseError("expected '+', '-' or end of input", cur.pos)
+    return _parse_sum(src, PresElement, _parse_pres_term)
 
 
 def render_pres_element(p: PresElement) -> str:
-    terms = p.terms()
-    if not terms:
-        return "0"
-    parts = []
-    for i, (m, coeff) in enumerate(terms):
-        mag = abs(coeff)
-        body = str(m)
-        if mag != 1:
-            body = f"{mag}*{body}" if body != "1" else str(mag)
-        if i == 0:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if coeff > 0 else '-'} {body}")
-    return " ".join(parts)
+    return _render_sum(p.terms(), str)
 
 
 def pres_monomial_to_json(m: PresMonomial) -> dict:
-    kind = {
-        PresKind.ONE: "one",
-        PresKind.X: "x",
-        PresKind.X2: "x2",
-        PresKind.Y: "y",
-        PresKind.Z: "z",
-        PresKind.BAND: "band",
-    }[m.kind]
-    out: dict = {"g": m.g, "kind": kind}
-    if m.kind in (PresKind.Y, PresKind.Z, PresKind.BAND):
+    out: dict = {"g": m.g, "kind": m.kind.name.lower()}
+    if m.n:
         out["n"] = m.n
-    if m.kind is PresKind.BAND:
-        out["eta"] = render_eta(m.eta)
+    if m.eta is not None:
+        out["eta"] = str(m.eta)
     return out
 
 

@@ -154,21 +154,8 @@ class GreenElement(LinearCombination):
     def unit(cls) -> "GreenElement":
         return cls.from_label(simple_one(0))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        if isinstance(other, GreenElement):
-            return mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
-
-
-def _elem(terms) -> GreenElement:
-    return GreenElement(terms)
+    def _ring_mul(self, other: "GreenElement") -> "GreenElement":
+        return mul(self, other)
 
 
 def _dispatch(l1: Label, l2: Label) -> tuple[str, list[tuple[Label, int]]]:
@@ -263,7 +250,7 @@ def _dispatch(l1: Label, l2: Label) -> tuple[str, list[tuple[Label, int]]]:
 
 def mul_labels(l1: Label, l2: Label) -> GreenElement:
     """Decomposition of the tensor product of two labels."""
-    return _elem(_dispatch(l1, l2)[1])
+    return GreenElement(_dispatch(l1, l2)[1])
 
 
 def case_name(l1: Label, l2: Label) -> str:
@@ -273,17 +260,12 @@ def case_name(l1: Label, l2: Label) -> str:
 
 def mul(e1: GreenElement, e2: GreenElement) -> GreenElement:
     """Bilinear extension of mul_labels."""
-    acc: dict[Label, int] = {}
-    for la, ca in e1.terms():
-        for lb, cb in e2.terms():
-            c = ca * cb
-            for lab, k in _dispatch(la, lb)[1]:
-                c0 = acc.get(lab, 0) + c * k
-                if c0:
-                    acc[lab] = c0
-                elif lab in acc:
-                    del acc[lab]
-    return _elem(acc.items())
+    return GreenElement(
+        (label, ca * cb * k)
+        for la, ca in e1.terms()
+        for lb, cb in e2.terms()
+        for label, k in _dispatch(la, lb)[1]
+    )
 
 
 def dual_label(label: Label) -> Label:
@@ -302,7 +284,7 @@ def dual_label(label: Label) -> Label:
 
 def dual(e: GreenElement) -> GreenElement:
     """Ring involution induced by module duality."""
-    return _elem((dual_label(l), c) for l, c in e.terms())
+    return GreenElement((dual_label(l), c) for l, c in e.terms())
 
 
 def label_dimension(label: Label) -> int:

@@ -121,17 +121,8 @@ class PresElement(LinearCombination):
     def unit(cls) -> "PresElement":
         return cls.from_monomial(mono_one())
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        if isinstance(other, PresElement):
-            return nf_mul(self, other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
+    def _ring_mul(self, other: "PresElement") -> "PresElement":
+        return nf_mul(self, other)
 
 
 class GroupRingPair(NamedTuple):
@@ -280,11 +271,12 @@ def _mul_monomials(m1: PresMonomial, m2: PresMonomial) -> PresElement:
 
 def nf_mul(p: PresElement, q: PresElement) -> PresElement:
     """Product of two normal forms, again in normal form."""
-    acc = PresElement.zero()
-    for m1, c1 in p.terms():
-        for m2, c2 in q.terms():
-            acc = acc + _mul_monomials(m1, m2).scaled(c1 * c2)
-    return acc
+    return PresElement(
+        (m, c1 * c2 * c)
+        for m1, c1 in p.terms()
+        for m2, c2 in q.terms()
+        for m, c in _mul_monomials(m1, m2).terms()
+    )
 
 
 # -- isomorphism with the label model ------------------------------------
@@ -314,10 +306,9 @@ def _monomial_to_green(m: PresMonomial) -> GreenElement:
 
 def to_green(p: PresElement) -> GreenElement:
     """Image of a normal form under the ring isomorphism onto the label model."""
-    acc = GreenElement.zero()
-    for m, c in p.terms():
-        acc = acc + _monomial_to_green(m).scaled(c)
-    return acc
+    return GreenElement(
+        (label, c * k) for m, c in p.terms() for label, k in _monomial_to_green(m).terms()
+    )
 
 
 def _label_to_pres(label: Label) -> PresElement:
@@ -341,7 +332,6 @@ def _label_to_pres(label: Label) -> PresElement:
 
 def from_green(e: GreenElement) -> PresElement:
     """Normal form of a label-model element; exact inverse of to_green."""
-    acc = PresElement.zero()
-    for label, c in e.terms():
-        acc = acc + _label_to_pres(label).scaled(c)
-    return acc
+    return PresElement(
+        (m, c * k) for label, c in e.terms() for m, k in _label_to_pres(label).terms()
+    )

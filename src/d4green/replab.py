@@ -55,6 +55,7 @@ from .green import (
     simple_two,
 )
 from .linalg import (
+    _ONE,
     _ZERO,
     _nonzeros,
     RatMatrix,
@@ -440,8 +441,10 @@ def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix
             for w, cols in enumerate(groups)
         ])
     a, d = blocks
-    ident = RatMatrix.identity(n).data
-    basis = [RatMatrix.from_columns([ident[i] for i in group], rows=n) for group in groups]
+    basis = [RatMatrix.zeros(n, len(group)) for group in groups]
+    for m, group in zip(basis, groups):
+        for j, i in enumerate(group):
+            m.data[i][j] = _ONE
     return _Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), basis
 
 

@@ -70,6 +70,9 @@ def grid_labels(max_s: int, etas) -> list[Label]:
     """All labels with parameter at most max_s over the given eta set."""
     if max_s < 1:
         raise ValueError("max_s must be at least 1")
+    repeated = [e for e, n in Counter(etas).items() if n > 1]
+    if repeated:
+        raise ValueError(f"eta {repeated[0]} is given more than once")
     labels = []
     for r in (0, 1):
         labels.extend([simple_one(r), simple_two(r), projective(r)])
@@ -112,20 +115,25 @@ def _multiset_to_element(labels: list[Label]) -> GreenElement:
     return GreenElement(counts.items())
 
 
-def run_table(max_s: int = 2, etas=DEFAULT_ETAS, seed: int = 0, jobs: int = 1) -> Report:
-    """Oracle-vs-table equivalence over all unordered grid pairs."""
+def _run_pairs(scope: str, check, max_s: int, etas, seed: int, jobs: int) -> tuple[Report, list]:
+    """Run ``check`` on every unordered grid pair, in a pool when jobs > 1."""
     labels = grid_labels(max_s, etas)
     pairs = list(itertools.combinations_with_replacement(labels, 2))
     header = (
         f"max_s={max_s} etas={','.join(str(e) for e in etas) or '-'} "
         f"seed={seed} jobs={jobs} pairs={len(pairs)}"
     )
-    report = Report("table", header, checks=len(pairs))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_check_table_pair, pairs, chunksize=16)
+            results = pool.map(check, pairs, chunksize=16)
     else:
-        results = [_check_table_pair(p) for p in pairs]
+        results = [check(p) for p in pairs]
+    return Report(scope, header, checks=len(pairs)), results
+
+
+def run_table(max_s: int = 2, etas=DEFAULT_ETAS, seed: int = 0, jobs: int = 1) -> Report:
+    """Oracle-vs-table equivalence over all unordered grid pairs."""
+    report, results = _run_pairs("table", _check_table_pair, max_s, etas, seed, jobs)
     stats: Counter = Counter()
     fails: Counter = Counter()
     for case, failure in results:
@@ -288,22 +296,9 @@ def run_presentation(
 
 def run_braiding(max_s: int = 2, etas=DEFAULT_ETAS, seed: int = 0, jobs: int = 1) -> Report:
     """flip . R is an invertible intertwiner on every grid pair."""
-    labels = grid_labels(max_s, etas)
-    pairs = list(itertools.combinations_with_replacement(labels, 2))
-    header = (
-        f"max_s={max_s} etas={','.join(str(e) for e in etas) or '-'} "
-        f"seed={seed} jobs={jobs} pairs={len(pairs)}"
-    )
-    report = Report("braiding", header, checks=len(pairs))
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            results = pool.map(_check_braiding_pair, pairs, chunksize=16)
-    else:
-        results = [_check_braiding_pair(p) for p in pairs]
-    for failure in results:
-        if failure is not None:
-            report.failures.append(failure)
-    report.lines.append(f"braided pairs   {len(pairs)}")
+    report, results = _run_pairs("braiding", _check_braiding_pair, max_s, etas, seed, jobs)
+    report.failures.extend(f for f in results if f is not None)
+    report.lines.append(f"braided pairs   {report.checks}")
     return report
 
 

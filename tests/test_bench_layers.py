@@ -1,0 +1,29 @@
+"""The traced benchmark wraps program functions by name (bench/layers.py).
+
+Tier-1 does not collect bench/, so this test is what fails when a change
+deletes or renames a function that the benchmark still wraps.
+"""
+
+from pathlib import Path
+
+from d4green import cli, grammar, green, linalg, presentation, replab, verify
+from d4green.linalg import RatMatrix
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_trace_wrappers_install_and_uninstall(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    import layers
+    import tracing
+
+    owners = (RatMatrix, linalg, replab, green, presentation, grammar, verify, cli)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        layers.install(tracer)
+        assert vars(RatMatrix)["__matmul__"] is not before[0]["__matmul__"]
+        assert vars(replab)["decompose"] is not before[2]["decompose"]
+    finally:
+        tracer.uninstall()
+    assert [dict(vars(owner)) for owner in owners] == before

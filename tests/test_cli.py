@@ -108,6 +108,14 @@ def test_bad_eta_csv_exits_2(capsys):
         assert err.startswith("error: ") and "internal" not in err
 
 
+@pytest.mark.parametrize("scope", ["table", "presentation", "braiding", "all"])
+@pytest.mark.parametrize("etas, repeated", [("1,1", "1"), ("1,2/2", "1"), ("0,-0", "0"), ("0,oo,5/7,oo", "oo")])
+def test_repeated_eta_exits_2(capsys, scope, etas, repeated):
+    code, out, err = run(capsys, "verify", scope, "--max-s", "1", "--etas", etas)
+    assert (code, out) == (2, "")
+    assert err == f"error: eta {repeated} is given more than once"
+
+
 @pytest.mark.parametrize("jobs", ["0", "-1", "3"])
 def test_verify_jobs_out_of_range_exits_2(capsys, monkeypatch, jobs):
     def no_pool(*args, **kwargs):

@@ -2,26 +2,32 @@ import json
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import green_elements, labels
 from d4green.grammar import (
     ParseError,
     element_to_json,
+    label_to_json,
     parse_element,
     parse_pres_element,
+    pres_monomial_to_json,
     pres_to_json,
     render_element,
     render_label,
     render_pres_element,
 )
-from d4green.green import ETA_INF, GreenElement, band, eta, omega, projective, simple_one, simple_two
+from d4green.green import ETA_INF, GreenElement, LabelKind, band, eta, omega, projective, simple_one, simple_two
 from d4green.presentation import (
     PresElement,
+    PresKind,
     from_green,
     mono_band,
     mono_one,
     mono_x,
     mono_x2,
+    mono_y,
+    mono_z,
 )
 
 
@@ -136,3 +142,91 @@ def test_pres_json():
     kinds = [t["monomial"]["kind"] for t in payload["terms"]]
     assert kinds == ["x", "y"]
     assert payload["terms"][1]["monomial"] == {"g": 1, "kind": "y", "n": 2}
+
+
+def pres_elements():
+    """from_green of label-model elements, plus coefficient-only and g terms."""
+    coeffs = st.integers(min_value=-15, max_value=15)
+    return st.tuples(green_elements(), coeffs, coeffs).map(
+        lambda t: from_green(t[0]) + PresElement([(mono_one(), t[1]), (mono_one(1), t[2])])
+    )
+
+
+@given(pres_elements())
+@settings(max_examples=150)
+def test_pres_element_round_trip(p):
+    assert parse_pres_element(render_pres_element(p)) == p
+
+
+@pytest.mark.parametrize(
+    "terms, text",
+    [
+        ([(mono_one(), 1)], "1"),
+        ([(mono_one(), -1)], "-1"),
+        ([(mono_one(), 12)], "12"),
+        ([(mono_one(1), 1)], "g"),
+        ([(mono_one(1), 12)], "12*g"),
+        ([(mono_one(), -12), (mono_one(1), 1)], "-12 + g"),
+        ([(mono_x(1), 10)], "10*g*x"),
+    ],
+)
+def test_pres_render_of_unit_and_g_terms(terms, text):
+    p = PresElement(terms)
+    assert render_pres_element(p) == text
+    assert parse_pres_element(text) == p
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("1", [(mono_one(), 1)]),  # the unit factor
+        ("1^2*x", [(mono_x(), 1)]),  # the unit factor, raised to a power
+        ("1*g", [(mono_one(1), 1)]),
+        ("12", [(mono_one(), 12)]),  # any other number is a coefficient
+        ("12*x", [(mono_x(), 12)]),
+        ("01", [(mono_one(), 1)]),
+        ("01*x", [(mono_x(), 1)]),
+        ("10*x", [(mono_x(), 10)]),
+        ("0*x + 1", [(mono_one(), 1)]),
+    ],
+)
+def test_pres_unit_factor_rule(text, terms):
+    assert parse_pres_element(text) == PresElement(terms)
+
+
+@pytest.mark.parametrize("text, pos", [("1 2", 2), ("12 x", 3), ("01^2", 2)])
+def test_pres_number_followed_by_junk(text, pos):
+    with pytest.raises(ParseError) as err:
+        parse_pres_element(text)
+    assert err.value.pos == pos
+
+
+# The kind strings documented in the README's JSON section.
+LABEL_KINDS = {
+    simple_one(0): "simple_one",
+    simple_two(1): "simple_two",
+    projective(0): "projective",
+    omega(2, 1): "syzygy",
+    omega(-3, 0): "cosyzygy",
+    band(2, 1, ETA_INF): "band",
+}
+PRES_KINDS = {
+    mono_one(1): "one",
+    mono_x(): "x",
+    mono_x2(1): "x2",
+    mono_y(2): "y",
+    mono_z(1, 1): "z",
+    mono_band(3, "5/7"): "band",
+}
+
+
+def test_json_kind_strings_of_every_label_kind():
+    assert {label.kind for label in LABEL_KINDS} == set(LabelKind)
+    for label, kind in LABEL_KINDS.items():
+        assert label_to_json(label)["kind"] == kind
+
+
+def test_json_kind_strings_of_every_monomial_kind():
+    assert {m.kind for m in PRES_KINDS} == set(PresKind)
+    for m, kind in PRES_KINDS.items():
+        assert pres_monomial_to_json(m)["kind"] == kind

@@ -567,3 +567,13 @@ def test_braiding_examples():
     assert braiding_check(build(simple_two(0)), build(simple_two(1)))
     assert braiding_check(build(omega(1, 0)), build(band(1, 0, eta(2))))
     assert braiding_check(build(band(2, 0, '5/7')), build(omega(-1, 1)))
+
+
+@pytest.mark.parametrize(
+    "l1, l2",
+    [(simple_two(0), simple_two(1)), (omega(1, 0), omega(-1, 0)), (projective(0), simple_two(0))],
+)
+def test_braiding_check_rejects_the_flip_alone(monkeypatch, l1, l2):
+    m, n = build(l1), build(l2)
+    monkeypatch.setattr(replab, "r_matrix_action", lambda m, n: RatMatrix.identity(m.dim * n.dim))
+    assert not braiding_check(m, n)
