@@ -57,6 +57,10 @@ class ParseError(ValueError):
         self.pos = pos
 
 
+# The grammar is 7-bit clean: str.isdigit would also take digits such as '²' or '١'.
+_DIGITS = frozenset("0123456789")
+
+
 class _Cursor:
     def __init__(self, src: str):
         self.src = src
@@ -87,7 +91,7 @@ class _Cursor:
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", start)
@@ -194,7 +198,7 @@ def _parse_sum(src: str, cls, parse_term):
 
 def _parse_label_term(cur: _Cursor) -> list[tuple[Label, int]]:
     coeff = 1
-    if cur.peek().isdigit():
+    if cur.peek() in _DIGITS:
         coeff = cur.uint()
         cur.expect("*")
     cur.expect("[")
@@ -289,7 +293,7 @@ def _parse_pres_factor(cur: _Cursor) -> PresElement:
 def _parse_pres_term(cur: _Cursor) -> list[tuple[PresMonomial, int]]:
     coeff = 1
     start = cur.pos
-    if cur.peek().isdigit():
+    if cur.peek() in _DIGITS:
         coeff = cur.uint()
         if cur.src[start : cur.pos] == "1":
             # the unit factor, as in 1^2*x; any other number, 01 and 12

@@ -20,16 +20,18 @@ The decomposition works on the (b, c) weight spaces:
    computes joint eigenvectors only for modules in other bases.  Weights
    (1,-1) and (-1,1) make up the bc = -1 part, a semisimple pile of
    two-dimensional simples counted by the ranks of its blocks.
-2. On the bc = +1 part, weights (1,1) and (-1,-1), the square of the
-   radical isolates the multiplicities of the four-dimensional projectives.
-3. What remains has radical square zero.  For each b eigenvalue, the a and
-   d blocks from the top on that side to the socle on the other side form
-   a matrix pencil.  Kronecker's classification of pencils then yields the
-   string (syzygy/cosyzygy) and band summands, with the band parameter
-   read off the generalised eigenvalues.  These are found without
-   factoring any integer: the square-free part of the characteristic
-   polynomial, made monic by scaling its variable, has integers for its
-   rational roots, and Sturm-sequence bisection isolates them.
+2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
+   projectives are injective, so they split off first: on each side the
+   rank of the J^2 block x -> adx counts them.
+3. Only the rest, of radical square zero, goes to the pencil.  For each b
+   eigenvalue, the a and d blocks from the top on that side to the socle on
+   the other side form a matrix pencil.  Kronecker's classification of
+   pencils then yields the string (syzygy/cosyzygy) and band summands, with
+   the band parameter read off the generalised eigenvalues.  These are
+   found without factoring any integer: the square-free part of the
+   characteristic polynomial, made monic by scaling its variable, has
+   integers for its rational roots, and Sturm-sequence bisection isolates
+   them.
 """
 
 from __future__ import annotations
@@ -950,29 +952,37 @@ def _ll2_labels(part: _Graded) -> list[Label]:
 
 
 def _one_dim_type_labels(part: _Graded) -> list[Label]:
-    """Labels of the bc = +1 part: projectives plus the radical-square-zero core."""
-    j2 = _radical(part, _radical(part))
-    if any(_radical(part, j2)):
-        raise DecompositionError("radical cube is nonzero")
-    # the core is the quotient by J^2, whose radical square is zero
-    proj, lift = zip(*(quotient_maps(j2[p], part.dims[p]) for p in (0, 1)))
-    core = _Graded(
-        tuple(proj[1 - p] @ part.a[p] @ lift[p] for p in (0, 1)),
-        tuple(proj[1 - p] @ part.d[p] @ lift[p] for p in (0, 1)),
-    )
-    labels = _ll2_labels(core)
-    for r in (0, 1):
-        count = len(j2[r])
-        shadow = Label(LabelKind.COSYZYGY, r, 1)
-        for _ in range(count):
-            try:
-                labels.remove(shadow)
-            except ValueError:
-                raise DecompositionError(
-                    "projective socle without its cosyzygy shadow in the core"
-                ) from None
-        labels.extend([projective(r)] * count)
-    return labels
+    """Labels of the bc = +1 part: the projectives, split off first, then the rest.
+
+    Projectives are injective, so each P(p) summand splits off.  On side p
+    the J^2 map x -> adx kills every other summand, so its rank counts the
+    P(p).  For the unit vectors u at its pivot columns the adu are
+    independent, and u, au, du, adu over all of them span a submodule made of
+    those projectives.  Only the quotient by it, of radical square zero, goes
+    to the Kronecker pencil.
+    """
+    sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
+    tops = [m.rref()[1] for m in sq]
+    span = [
+        [[_ONE if i == j else _ZERO for i in range(part.dims[p])] for j in tops[p]]
+        + [sq[p].column(j) for j in tops[p]]
+        + [x[1 - p].column(j) for x in part for j in tops[1 - p]]
+        for p in (0, 1)
+    ]
+    summands = f"{len(tops[0])} P(0) and {len(tops[1])} P(1) summands"
+    proj, lift = zip(*(quotient_maps(span[p], part.dims[p]) for p in (0, 1)))
+    maps = []
+    for name, x in zip("ad", part):
+        cut = [proj[1 - p] @ x[p] for p in (0, 1)]
+        if any(not (m @ RatMatrix.from_columns(span[p], rows=part.dims[p])).is_zero() for p, m in enumerate(cut)):
+            raise DecompositionError(f"{name} does not keep the span of the {summands}")
+        maps.append((cut[0] @ lift[0], cut[1] @ lift[1]))
+    core = _Graded(*maps)
+    if any(not (x[1 - p] @ y[p]).is_zero() for x in core for y in core for p in (0, 1)):
+        raise DecompositionError(
+            f"radical square is nonzero on the quotient by the {summands}, of dimensions {core.dims}"
+        )
+    return _ll2_labels(core) + [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
 
 
 def decompose(rep: Representation) -> list[Label]:

@@ -101,6 +101,21 @@ def test_parse_error_exits_2(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("multiply", "²*[V(0)]", "[V(1)]"),
+        ("multiply", "[M_١(0,1)]", "[V(1)]"),
+        ("presentation", "normal-form", "x^²"),
+        ("verify", "table", "--max-s", "1", "--etas", "١"),
+    ],
+)
+def test_non_ascii_digit_exits_2_with_position(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "(at position " in err
+
+
 def test_bad_eta_csv_exits_2(capsys):
     for etas in ("0,zz", "1/0", "0.5"):
         code, out, err = run(capsys, "verify", "table", "--etas", etas)

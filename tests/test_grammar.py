@@ -201,6 +201,26 @@ def test_pres_number_followed_by_junk(text, pos):
     assert err.value.pos == pos
 
 
+# Digits outside ASCII 0-9 ('²' superscript two, '١' Arabic-Indic one) are not numbers.
+@pytest.mark.parametrize(
+    "parse, text, pos",
+    [
+        (parse_element, "²*[V(0)]", 0),
+        (parse_element, "١*[V(0)]", 0),
+        (parse_element, "[M_١(0,1)]", 3),
+        (parse_element, "[V(٠)]", 3),
+        (parse_element, "[M_1(0,1/٧)]", 9),
+        (parse_pres_element, "x^²", 2),
+        (parse_pres_element, "²*x", 0),
+        (parse_pres_element, "X_{١,0}", 3),
+    ],
+)
+def test_non_ascii_digits_are_parse_errors(parse, text, pos):
+    with pytest.raises(ParseError, match=rf"\(at position {pos}\)$") as err:
+        parse(text)
+    assert err.value.pos == pos
+
+
 # The kind strings documented in the README's JSON section.
 LABEL_KINDS = {
     simple_one(0): "simple_one",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from d4green import replab
+from d4green import green, replab
 from d4green.green import (
     ETA_INF,
     GreenElement,
@@ -348,6 +348,7 @@ def test_decompose_is_basis_independent():
         omega(2, 1),
         omega(-1, 0),
         projective(0),
+        projective(1),
         simple_two(1),
         simple_one(0),
         band(2, 0, ETA_INF),
@@ -407,6 +408,59 @@ def test_standard_models_never_reach_the_joint_eigenbasis(monkeypatch):
     replab._build_cached.cache_clear()
     l1, l2 = omega(3, 0), omega(-3, 0)
     assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
+
+
+def test_projectives_split_off_before_the_pencil(monkeypatch):
+    seen = []
+    ll2 = replab._ll2_labels
+
+    def spy(part):
+        seen.append(part.dims)
+        return ll2(part)
+
+    monkeypatch.setattr(replab, "_ll2_labels", spy)
+    l1, l2 = omega(3, 0), omega(-3, 0)
+    assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
+    # 12 P(1) + V(0): only the one dimension of V(0) reaches the pencil
+    assert seen == [(1, 0)]
+
+
+def test_decompose_rejects_nonzero_radical_square_without_projectives():
+    rep = build(projective(0))
+    a = rep.a.copy()
+    a.data[3][2] = Fraction(0)  # now ad = 0 but da != 0, so da + ad = 1 - bc fails
+    nonzero = r"^radical square is nonzero on the quotient by the 0 P\(0\) and 0 P\(1\) summands, of dimensions \(2, 2\)$"
+    with pytest.raises(DecompositionError, match=nonzero):
+        decompose(Representation(a, rep.b, rep.c, rep.d))
+
+
+# In P(0) (top v0, a v0 = v1, d v0 = v2, socle v3) the span of v0..v3 stops
+# being a submodule when a sends v1, of weight (-1, -1), into a V(0), or d
+# sends the socle into a V(1).  (a on the socle would make the J^2 map of
+# side 1 nonzero too, so the span would gain that image and stay closed.)
+@pytest.mark.parametrize("other, name, row, col", [(simple_one(0), "a", 4, 1), (simple_one(1), "d", 4, 3)])
+def test_decompose_rejects_a_projective_span_that_is_not_a_submodule(other, name, row, col):
+    rep = direct_sum([build(projective(0)), build(other)])
+    gens = {"a": rep.a.copy(), "b": rep.b, "c": rep.c, "d": rep.d.copy()}
+    gens[name].data[row][col] = Fraction(1)
+    not_kept = rf"^{name} does not keep the span of the 1 P\(0\) and 0 P\(1\) summands$"
+    with pytest.raises(DecompositionError, match=not_kept):
+        decompose(Representation(**gens))
+
+
+def test_oracle_never_consults_the_table(monkeypatch):
+    labels = grid_labels(2, (eta(0), eta(1), eta(-2), eta('5/7'), ETA_INF))
+    pairs = list(itertools.combinations_with_replacement(labels, 2))
+    expected = [expand(mul_labels(l1, l2)) for l1, l2 in pairs]
+
+    def table(*args):
+        raise AssertionError("the oracle consulted the table")
+
+    for name in ("mul", "mul_labels", "case_name"):
+        monkeypatch.setattr(green, name, table)
+    assert not {"mul", "mul_labels", "case_name"} & vars(replab).keys()
+    replab._build_cached.cache_clear()
+    assert [decompose(tensor(build(l1), build(l2))) for l1, l2 in pairs] == expected
 
 
 def test_module_structure_is_basis_independent():
