@@ -101,19 +101,6 @@ class Representation:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass
-class HomSpace:
-    """Basis of the space of intertwiners between two representations."""
-
-    source_dim: int
-    target_dim: int
-    basis: list[RatMatrix]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
 @dataclass(frozen=True)
 class RMatrixElement:
     """Universal braiding element: integer tensor words over a common denominator.
@@ -301,11 +288,11 @@ def direct_sum(reps: list[Representation]) -> Representation:
 # -- hom spaces and isomorphism --------------------------------------------
 
 
-def hom_space(m: Representation, n: Representation) -> HomSpace:
-    """All F with F a_M = a_N F (and likewise for b, c, d)."""
+def hom_space(m: Representation, n: Representation) -> list[RatMatrix]:
+    """Basis of the intertwiners: all F with F a_M = a_N F (and likewise for b, c, d)."""
     nm, nn = m.dim, n.dim
     if nm == 0 or nn == 0:
-        return HomSpace(nm, nn, [])
+        return []
     blocks = []
     i_m = RatMatrix.identity(nm)
     i_n = RatMatrix.identity(nn)
@@ -322,7 +309,7 @@ def hom_space(m: Representation, n: Representation) -> HomSpace:
             for i in range(nn):
                 mat.data[i][j] = vec[j * nn + i]
         basis.append(mat)
-    return HomSpace(nm, nn, basis)
+    return basis
 
 
 def is_isomorphic(m: Representation, n: Representation, seed: int | None = None) -> bool:
@@ -340,14 +327,14 @@ def is_isomorphic(m: Representation, n: Representation, seed: int | None = None)
     if m.dim == 0:
         return True
     hom = hom_space(m, n)
-    if not hom.basis:
+    if not hom:
         return False
     rng = random.Random(seed)
-    k = len(hom.basis)
+    k = len(hom)
 
     def combine(coeffs) -> RatMatrix:
         acc = RatMatrix.zeros(n.dim, m.dim)
-        for coef, mat in zip(coeffs, hom.basis):
+        for coef, mat in zip(coeffs, hom):
             if coef:
                 acc = acc + mat.scale(coef)
         return acc
@@ -363,7 +350,7 @@ def is_isomorphic(m: Representation, n: Representation, seed: int | None = None)
             if any(coeffs) and combine(coeffs).is_invertible():
                 return True
     stacked = RatMatrix(
-        n.dim, m.dim * k, [sum((hom.basis[t].data[i] for t in range(k)), []) for i in range(n.dim)]
+        n.dim, m.dim * k, [sum((f.data[i] for f in hom), []) for i in range(n.dim)]
     )
     if stacked.rank() < n.dim:
         return False
@@ -476,11 +463,6 @@ def _radical(part: _Graded, sub: list | None = None) -> list[list[list[Fraction]
     return out
 
 
-def _socle(part: _Graded) -> list[list[list[Fraction]]]:
-    """Side by side, the joint kernel of a and d on a bc = +1 part."""
-    return [RatMatrix(2 * a.rows, a.cols, a.data + d.data).kernel_basis() for a, d in zip(part.a, part.d)]
-
-
 def radical_basis(rep: Representation) -> list[list[Fraction]]:
     """Basis of JM.
 
@@ -499,8 +481,8 @@ def socle_basis(rep: Representation) -> list[list[Fraction]]:
     """
     plus, _, basis = _weight_split(rep)
     out = basis[2].columns() + basis[3].columns()
-    for p, side in enumerate(_socle(plus)):
-        out += _embed(basis[p], side)
+    for p, (a, d) in enumerate(zip(plus.a, plus.d)):
+        out += _embed(basis[p], RatMatrix(2 * a.rows, a.cols, a.data + d.data).kernel_basis())
     return out
 
 
@@ -593,58 +575,6 @@ def cosyzygy(rep: Representation) -> Representation:
     return dual(syzygy(dual(rep)))
 
 
-# -- band parameter recovery -------------------------------------------------
-
-
-def recover_eta(rep: Representation) -> Eta:
-    """Band parameter of an indecomposable (s,s)-type representation.
-
-    The socle lies on one side of the bc = +1 part and the top on the
-    other, so a and d restrict to s x s blocks from top to socle.  The one
-    vector v (up to scalar) of the top whose images av, dv span at most a
-    line fixes the parameter by dv = -eta * av, with av = 0 marking the
-    point at infinity.
-    """
-    n = rep.dim
-    if n == 0 or n % 2:
-        raise ValueError("not an (s,s)-type representation")
-    s = n // 2
-    plus, minus, _ = _weight_split(rep)
-    if any(minus.dims):
-        raise ValueError("band modules have bc acting as the identity")
-    soc = _socle(plus)
-    if len(soc[0]) + len(soc[1]) != s:
-        raise ValueError("socle length does not match (s,s)-type")
-    if soc[0] and soc[1]:
-        raise ValueError("socle is not b-isotypic")
-    top = 1 if soc[0] else 0
-    if plus.dims[top] != s:
-        raise ValueError("top eigencomponent has the wrong dimension")
-    ae, de = plus.a[top], plus.d[top]
-    ker = ae.kernel_basis()
-    if ker:
-        if len(ker) != 1:
-            raise ValueError("kernel vector is not unique; not an (s,s) band")
-        if not any(de.apply(ker[0])):
-            raise ValueError("candidate vector has av = dv = 0")
-        return ETA_INF
-    x = ae.solve_matrix(de)
-    if x is None:
-        raise ValueError("d does not act through a on the top component")
-    trace = sum(x.data[i][i] for i in range(s))
-    value = -trace / s
-    shifted = x + RatMatrix.identity(s).scale(value)
-    power = shifted
-    for _ in range(s - 1):
-        power = power @ shifted
-    if not power.is_zero():
-        raise ValueError("top action is not a single generalised eigenvalue")
-    ker_v = (de + ae.scale(value)).kernel_basis()
-    if len(ker_v) != 1:
-        raise ValueError("collinear vector is not unique")
-    return Eta(value)
-
-
 # -- Kronecker pencil machinery ---------------------------------------------
 
 
@@ -692,27 +622,21 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
 def _charpoly(mat: RatMatrix) -> list[Fraction]:
     """Characteristic polynomial det(xI - mat), coefficients low to high.
 
-    Computed exactly by evaluating the determinant at m+1 integer points
-    and interpolating (Newton form); basis-invariant by construction.
+    Faddeev-LeVerrier recurrence (D. K. Faddeev and V. N. Faddeeva,
+    Computational Methods of Linear Algebra, 1963): from N_1 = I, the
+    coefficient of x^(m-k) is c_k = -tr(mat N_k) / k, and
+    N_(k+1) = mat N_k + c_k I.  Exact over Q, from matrix products and traces alone.
     """
     m = mat.rows
-    xs = [Fraction(k) for k in range(m + 1)]
-    ident = RatMatrix.identity(m)
-    coef = [(ident.scale(x) - mat).det() for x in xs]
-    for j in range(1, m + 1):
-        for i in range(m, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    poly = [Fraction(0)] * (m + 1)
-    acc = [Fraction(1)]
-    for k in range(m + 1):
-        for idx, c in enumerate(acc):
-            poly[idx] += coef[k] * c
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for idx, c in enumerate(acc):
-            nxt[idx + 1] += c
-            nxt[idx] -= c * xs[k]
-        acc = nxt
-    return poly
+    poly = [_ONE]
+    n = RatMatrix.identity(m)
+    for k in range(1, m + 1):
+        n = mat @ n
+        c = -sum(n.data[i][i] for i in range(m)) / k
+        poly.append(c)
+        for i in range(m):
+            n.data[i][i] += c
+    return poly[::-1]
 
 
 def _poly_eval(poly: list[int], x: int) -> int:
@@ -877,13 +801,13 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
     abar = proj_s @ a1 @ lift_t
     dbar = proj_s @ delta @ lift_t
 
-    down_counts_raw, s_right, t_right = _chain_counts(abar.transpose(), dbar.transpose())
-    if down_counts_raw.get(0):
+    down_counts, s_right, t_right = _chain_counts(abar.transpose(), dbar.transpose())
+    if down_counts.get(0):
         raise DecompositionError("socle vectors outside the image of the radical action")
 
     t_reg = annihilator_basis(t_right, abar.cols)
     s_reg = annihilator_basis(s_right, abar.rows)
-    m = dim_t - len(t_left) - sum(u * cnt for u, cnt in down_counts_raw.items())
+    m = dim_t - len(t_left) - sum(u * cnt for u, cnt in down_counts.items())
     if len(t_reg) != m or len(s_reg) != m:
         raise _BadShift
 
@@ -906,7 +830,6 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
                 e = Eta(theta / (c * theta - 1))
             bands.extend((size, e) for size in sizes)
 
-    down_counts = {u: cnt for u, cnt in down_counts_raw.items() if u >= 1}
     return up_counts, down_counts, bands
 
 
@@ -969,8 +892,13 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
         + [x[1 - p].column(j) for x in part for j in tops[1 - p]]
         for p in (0, 1)
     ]
-    summands = f"{len(tops[0])} P(0) and {len(tops[1])} P(1) summands"
+    k0, k1 = map(len, tops)
+    summands = f"{k0} P(0) and {k1} P(1) summands"
     proj, lift = zip(*(quotient_maps(span[p], part.dims[p]) for p in (0, 1)))
+    # each P(0) and each P(1) puts two dimensions on each side
+    spanned = tuple(part.dims[p] - proj[p].rows for p in (0, 1))
+    if spanned != (2 * (k0 + k1),) * 2:
+        raise DecompositionError(f"the {summands} span dimensions {spanned}, not 2 * {k0 + k1} on each side")
     maps = []
     for name, x in zip("ad", part):
         cut = [proj[1 - p] @ x[p] for p in (0, 1)]
@@ -982,7 +910,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
         raise DecompositionError(
             f"radical square is nonzero on the quotient by the {summands}, of dimensions {core.dims}"
         )
-    return _ll2_labels(core) + [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
+    return _ll2_labels(core) + [projective(0)] * k0 + [projective(1)] * k1
 
 
 def decompose(rep: Representation) -> list[Label]:

@@ -1,9 +1,12 @@
 """The traced benchmark wraps program functions by name (bench/layers.py).
 
-Tier-1 does not collect bench/, so this test is what fails when a change
-deletes or renames a function that the benchmark still wraps.
+The suite does not collect bench/, so these tests are what fail when a
+change deletes or renames a function that the benchmark still wraps, or
+breaks one of the benchmark's own tests.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
 from d4green import cli, grammar, green, linalg, presentation, replab, verify
@@ -27,3 +30,12 @@ def test_trace_wrappers_install_and_uninstall(monkeypatch):
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+def test_benchmark_tests_pass():
+    # bench/conftest.py and tests/conftest.py are both top-level `conftest`
+    # modules, so one pytest session cannot collect both directories
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "bench"], cwd=BENCH.parent, capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

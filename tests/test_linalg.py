@@ -132,8 +132,8 @@ def test_from_columns_rejects_ragged_columns():
 
 
 def test_int_inputs_give_fraction_entries():
-    # recover_eta divides a sum of such entries by an int: an int entry
-    # would make that a float division
+    # replab._charpoly divides a trace of such entries by an int k: an int
+    # entry would make that a float division
     rows = [[2, 4, 0], [1, Fraction(1, 2), 3], [Fraction(3), Fraction(0), Fraction(-1, 3)]]
     m = RatMatrix.from_rows(rows)
     outputs = [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rat_matrices
 from d4green import green, replab
 from d4green.green import (
     ETA_INF,
@@ -36,7 +37,6 @@ from d4green.replab import (
     loewy_length,
     projective_cover_map,
     radical_basis,
-    recover_eta,
     socle_basis,
     syzygy,
     tensor,
@@ -158,16 +158,15 @@ def test_direct_sum():
 
 
 def test_hom_space_dimensions():
-    assert hom_space(build(simple_one(0)), build(simple_one(1))).dim == 0
-    assert hom_space(build(simple_one(0)), build(simple_one(0))).dim == 1
+    assert len(hom_space(build(simple_one(0)), build(simple_one(1)))) == 0
+    assert len(hom_space(build(simple_one(0)), build(simple_one(0)))) == 1
     # End(P(0)) is two-dimensional: identity plus the top-to-socle map
-    assert hom_space(build(projective(0)), build(projective(0))).dim == 2
+    assert len(hom_space(build(projective(0)), build(projective(0)))) == 2
 
 
 def test_hom_space_basis_intertwines():
     m, n = build(omega(1, 0)), build(projective(1))
-    hom = hom_space(m, n)
-    for f in hom.basis:
+    for f in hom_space(m, n):
         for xm, xn in zip(m.generators(), n.generators()):
             assert f @ xm == xn @ f
 
@@ -261,28 +260,33 @@ def test_cosyzygy_inverts_syzygy(label):
     assert is_isomorphic(cosyzygy(syzygy(rep)), rep)
 
 
-# -- eta recovery ------------------------------------------------------------------
+# -- band parameters ---------------------------------------------------------------
 
 
-def test_recover_eta():
-    assert recover_eta(build(band(1, 0, eta('5/7')))) == eta('5/7')
-    assert recover_eta(build(band(3, 1, ETA_INF))) == ETA_INF
-    assert recover_eta(build(band(2, 0, eta(-2)))) == eta(-2)
-    assert recover_eta(build(band(4, 1, eta('1/3')))) == eta('1/3')
+def test_decompose_band_parameter():
+    for label in (band(1, 0, eta('5/7')), band(3, 1, ETA_INF), band(2, 0, eta(-2)), band(4, 1, eta('1/3'))):
+        assert decompose(build(label)) == [label]
 
 
-def test_recover_eta_full_grid():
+def test_decompose_band_parameter_full_grid():
     for s in range(1, 5):
         for r in (0, 1):
             for e in (eta(0), eta(1), eta(-2), eta('5/7'), ETA_INF):
-                assert recover_eta(build(band(s, r, e))) == e
+                assert decompose(build(band(s, r, e))) == [band(s, r, e)]
 
 
-def test_recover_eta_rejects_non_band():
-    with pytest.raises(ValueError):
-        recover_eta(build(projective(0)))
-    with pytest.raises(ValueError):
-        recover_eta(build(omega(1, 0)))
+@given(rat_matrices(max_dim=5, square=True))
+@settings(max_examples=60)
+def test_charpoly_matches_determinants(mat):
+    # m + 1 values of det(xI - mat) fix a polynomial of degree m
+    poly = replab._charpoly(mat)
+    m = mat.rows
+    assert len(poly) == m + 1 and poly[-1] == 1
+    for x in range(m + 1):
+        value = Fraction(0)
+        for c in reversed(poly):
+            value = value * x + c
+        assert value == (RatMatrix.identity(m).scale(x) - mat).det()
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -360,6 +364,9 @@ def test_decompose_is_basis_independent():
     sheared = Representation(*(shear @ x @ shear.inverse() for x in rep.generators()))
     for conj in (_conjugate(rep, rng), sheared):
         assert decompose(conj) == sorted(pieces)
+    rng = random.Random(13)
+    for label in (band(1, 0, eta('5/7')), band(2, 1, ETA_INF), band(3, 0, eta(-2)), band(2, 0, eta(0))):
+        assert decompose(_conjugate(build(label), rng)) == [label]
 
 
 def test_decompose_rejects_b_c_that_are_not_commuting_involutions():
@@ -437,7 +444,8 @@ def test_decompose_rejects_nonzero_radical_square_without_projectives():
 # In P(0) (top v0, a v0 = v1, d v0 = v2, socle v3) the span of v0..v3 stops
 # being a submodule when a sends v1, of weight (-1, -1), into a V(0), or d
 # sends the socle into a V(1).  (a on the socle would make the J^2 map of
-# side 1 nonzero too, so the span would gain that image and stay closed.)
+# side 1 nonzero too, so the span would gain that image and stay closed;
+# the next test covers that case.)
 @pytest.mark.parametrize("other, name, row, col", [(simple_one(0), "a", 4, 1), (simple_one(1), "d", 4, 3)])
 def test_decompose_rejects_a_projective_span_that_is_not_a_submodule(other, name, row, col):
     rep = direct_sum([build(projective(0)), build(other)])
@@ -446,6 +454,17 @@ def test_decompose_rejects_a_projective_span_that_is_not_a_submodule(other, name
     not_kept = rf"^{name} does not keep the span of the 1 P\(0\) and 0 P\(1\) summands$"
     with pytest.raises(DecompositionError, match=not_kept):
         decompose(Representation(**gens))
+
+
+def test_decompose_rejects_projective_spans_that_overlap():
+    # a sends the socle of P(0) into V(1), so the J^2 map of side 1 counts a
+    # P(1) too, and the two spans share P(0)'s: 5 dimensions, not 8
+    rep = direct_sum([build(projective(0)), build(simple_one(1))])
+    a = rep.a.copy()
+    a.data[4][3] = Fraction(1)
+    overlap = r"^the 1 P\(0\) and 1 P\(1\) summands span dimensions \(2, 3\), not 2 \* 2 on each side$"
+    with pytest.raises(DecompositionError, match=overlap):
+        decompose(Representation(a, rep.b, rep.c, rep.d))
 
 
 def test_oracle_never_consults_the_table(monkeypatch):
@@ -477,14 +496,6 @@ def test_module_structure_is_basis_independent():
         std_cover, std_phi = projective_cover_map(rep)
         assert decompose(cover) == decompose(std_cover)
         assert phi.rank() == std_phi.rank() == rep.dim
-
-
-def test_recover_eta_is_basis_independent():
-    import random
-
-    rng = random.Random(13)
-    for s, r, e in ((1, 0, eta('5/7')), (2, 1, ETA_INF), (3, 0, eta(-2)), (2, 0, eta(0))):
-        assert recover_eta(_conjugate(build(band(s, r, e)), rng)) == e
 
 
 def test_decompose_with_adversarial_band_parameters():
