@@ -364,9 +364,18 @@ def test_decompose_is_basis_independent():
     sheared = Representation(*(shear @ x @ shear.inverse() for x in rep.generators()))
     for conj in (_conjugate(rep, rng), sheared):
         assert decompose(conj) == sorted(pieces)
+
+
+def test_recover_eta_is_basis_independent():
+    # the band parameter eta that decompose reads off the pencil does not
+    # depend on the basis the band is given in
+    import random
+
     rng = random.Random(13)
-    for label in (band(1, 0, eta('5/7')), band(2, 1, ETA_INF), band(3, 0, eta(-2)), band(2, 0, eta(0))):
-        assert decompose(_conjugate(build(label), rng)) == [label]
+    for s, r, e in ((1, 0, eta('5/7')), (2, 1, ETA_INF), (3, 0, eta(-2)), (2, 0, eta(0))):
+        [label] = decompose(_conjugate(build(band(s, r, e)), rng))
+        assert label == band(s, r, e)
+        assert label.eta == e
 
 
 def test_decompose_rejects_b_c_that_are_not_commuting_involutions():
