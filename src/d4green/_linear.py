@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 
 class LinearCombination:
@@ -15,10 +15,9 @@ class LinearCombination:
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: Mapping | Iterable[tuple] | None = None):
+    def __init__(self, coeffs: Iterable[tuple] = ()):
         store = {}
-        items = coeffs.items() if isinstance(coeffs, Mapping) else (coeffs or ())
-        for key, c in items:
+        for key, c in coeffs:
             c = int(c)
             if c:
                 c0 = store.get(key, 0) + c
@@ -34,9 +33,6 @@ class LinearCombination:
 
     def coeff(self, key) -> int:
         return self._coeffs.get(key, 0)
-
-    def keys(self):
-        return sorted(self._coeffs)
 
     def terms(self) -> list[tuple]:
         """(key, coefficient) pairs in canonical basis order."""

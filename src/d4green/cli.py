@@ -26,7 +26,6 @@ import os
 import sys
 
 from .grammar import (
-    ParseError,
     element_to_json,
     parse_element,
     parse_eta,
@@ -134,9 +133,6 @@ def main(argv=None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

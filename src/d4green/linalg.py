@@ -86,10 +86,6 @@ class RatMatrix:
 
     # -- basics --------------------------------------------------------
 
-    def __getitem__(self, key) -> Fraction:
-        i, j = key
-        return self.data[i][j]
-
     def column(self, j: int) -> list[Fraction]:
         return [row[j] for row in self.data]
 

@@ -219,20 +219,12 @@ def _relation_images(mul_n: int, etas) -> list[tuple[str, str, GreenElement]]:
     return rels
 
 
-def run_presentation(
-    max_s: int = 2,
-    etas=DEFAULT_ETAS,
-    seed: int = 0,
-    jobs: int = 1,
-    round_n: int | None = None,
-    mul_n: int | None = None,
-) -> Report:
+def run_presentation(max_s: int = 2, etas=DEFAULT_ETAS, seed: int = 0, jobs: int = 1) -> Report:
     """Recurrence, round trips, multiplicativity, relations, confluence."""
     del jobs  # single-threaded; the checks are cheap
-    round_n = round_n if round_n is not None else max(12, max_s)
-    mul_n = mul_n if mul_n is not None else max(2, min(max_s, 6))
-    etas = tuple(etas) or DEFAULT_ETAS
-    header = f"round_n={round_n} mul_n={mul_n} etas={','.join(str(e) for e in etas)} seed={seed}"
+    round_n = max(12, max_s)
+    mul_n = max(2, min(max_s, 6))
+    header = f"round_n={round_n} mul_n={mul_n} etas={','.join(str(e) for e in etas) or '-'} seed={seed}"
     report = Report("presentation", header)
 
     for n in range(1, 51):

@@ -81,8 +81,8 @@ def test_criterion_2_named_identities():
 
 
 def test_criterion_3_presentation_isomorphism():
-    rep = run_presentation(round_n=12, mul_n=6, etas=(eta(0), eta(1), ETA_INF), seed=0)
-    report("3 presentation isomorphism", rep.passed, f"{rep.checks} checks")
+    rep = run_presentation(max_s=6, etas=(eta(0), eta(1), ETA_INF), seed=0)
+    report("3 presentation isomorphism", rep.passed and rep.checks == 3161, f"{rep.checks} checks")
 
 
 def test_criterion_4_sequence_recurrence():

@@ -39,3 +39,22 @@ def test_benchmark_tests_pass():
         [sys.executable, "-m", "pytest", "-q", "bench"], cwd=BENCH.parent, capture_output=True, text=True, timeout=600
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_verify_jobs2_entry_points(monkeypatch):
+    # the verify-jobs2 workload swaps both pair checks and calls run_scope
+    # with these keywords
+    calls = {"table": 0, "braiding": 0}
+
+    def counting(name, check):
+        def wrapper(pair):
+            calls[name] += 1
+            return check(pair)
+
+        return wrapper
+
+    monkeypatch.setattr(verify, "_check_table_pair", counting("table", verify._check_table_pair))
+    monkeypatch.setattr(verify, "_check_braiding_pair", counting("braiding", verify._check_braiding_pair))
+    reports = verify.run_scope("all", max_s=1, etas=(), seed=0, jobs=1)
+    assert all(report.passed for report in reports)
+    assert calls == {"table": 55, "braiding": 55}

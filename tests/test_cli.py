@@ -175,6 +175,17 @@ def test_verify_empty_etas(capsys):
     assert "C18" not in out  # no band labels in the grid
 
 
+def test_verify_all_empty_etas_runs_every_scope_without_bands(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--max-s", "1", "--etas", "")
+    assert code == 0
+    headers = [line for line in out.splitlines() if not line.startswith(" ") and "PASS" not in line]
+    assert headers == [
+        "[table] max_s=1 etas=- seed=0 jobs=1 pairs=55",
+        "[presentation] round_n=12 mul_n=2 etas=- seed=0",
+        "[braiding] max_s=1 etas=- seed=0 jobs=1 pairs=55",
+    ]
+
+
 def test_fault_injection_names_case(capsys, monkeypatch):
     real = green.mul_labels
 

@@ -176,8 +176,36 @@ def test_is_isomorphic_examples():
     assert not is_isomorphic(build(simple_one(0)), build(simple_one(1)))
     lhs = tensor(build(omega(1, 0)), build(omega(1, 0)))
     rhs = direct_sum([build(omega(2, 0)), build(projective(0))])
-    assert is_isomorphic(lhs, rhs, seed=11)
+    assert is_isomorphic(lhs, rhs)
     assert not is_isomorphic(build(omega(1, 0)), build(omega(-1, 0)))
+
+
+def test_is_isomorphic_repeated_summands():
+    def rep(*labels):
+        return direct_sum([build(label) for label in labels])
+
+    m1 = band(1, 0, eta(1))
+    for label in (simple_one(0), projective(0)):
+        assert is_isomorphic(rep(label, label), rep(label, label))
+    assert is_isomorphic(rep(m1, m1, simple_one(0)), rep(simple_one(0), m1, m1))
+
+
+def test_is_isomorphic_rank_certificate_comes_first(monkeypatch):
+    def no_search(self):
+        raise AssertionError("searched for an invertible intertwiner")
+
+    monkeypatch.setattr(RatMatrix, "is_invertible", no_search)
+    o1, o_1, v1 = build(omega(1, 0)), build(omega(-1, 0)), build(simple_one(1))
+    assert not is_isomorphic(o1, o_1)
+    assert not is_isomorphic(direct_sum([o1, v1]), direct_sum([o_1, v1]))
+
+
+def test_is_isomorphic_raises_without_a_certificate(monkeypatch):
+    # E11 and E21 jointly span both columns, yet every combination is singular
+    basis = [RatMatrix.from_rows([[1, 0], [0, 0]]), RatMatrix.from_rows([[0, 0], [1, 0]])]
+    monkeypatch.setattr(replab, "hom_space", lambda m, n: basis)
+    with pytest.raises(RuntimeError, match="inconclusive"):
+        is_isomorphic(build(simple_two(0)), build(simple_two(1)))
 
 
 # -- radical series -----------------------------------------------------------------
