@@ -10,7 +10,7 @@ class LinearCombination:
 
     Zero coefficients are never stored; equality and hashing are by the
     underlying map.  The constructor is the one place where terms are
-    summed.  Subclasses supply the ring product as ``_ring_mul``.
+    summed.
     """
 
     __slots__ = ("_coeffs",)
@@ -41,9 +41,6 @@ class LinearCombination:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
     def __eq__(self, other) -> bool:
         return type(self) is type(other) and self._coeffs == other._coeffs
 
@@ -68,18 +65,6 @@ class LinearCombination:
         if not n:
             return self._wrap({})
         return self._wrap({k: n * c for k, c in self._coeffs.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        if isinstance(other, type(self)):
-            return self._ring_mul(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scaled(other)
-        return NotImplemented
 
     def _wrap(self, coeffs: dict):
         obj = type(self).__new__(type(self))

@@ -11,7 +11,8 @@ Subcommands::
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 internal error (an unexpected exception, reported on one line as
-``error: internal: <Type>: <message>``).
+``error: internal: <Type>: <message>``), 141 when the reader closed
+standard output (128 + SIGPIPE, as a shell reports a SIGPIPE death).
 
 Integers are printed and parsed without the interpreter's default limit
 of 4300 digits, which results such as ``from-modules "[O^20000V(0)]"``
@@ -40,7 +41,12 @@ from .verify import DEFAULT_ETAS, run_scope
 
 
 def _parse_etas(csv: str):
-    return tuple(parse_eta(part) for part in csv.split(",") if part.strip())
+    """Comma-separated etas; an empty or blank list means no bands."""
+    parts = csv.split(",") if csv.strip() else []
+    for i, part in enumerate(parts, 1):
+        if not part.strip():
+            raise ValueError(f"--etas item {i} of {csv!r} is empty")
+    return tuple(parse_eta(part) for part in parts)
 
 
 def _emit(args, element=None, pres=None) -> None:
@@ -132,7 +138,13 @@ def main(argv=None) -> int:
     digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the flush at exit would raise again: send what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -147,15 +147,12 @@ class GreenElement(LinearCombination):
     """Finite integer combination of labels; an element of the Green ring."""
 
     @classmethod
-    def from_label(cls, label: Label, coeff: int = 1) -> "GreenElement":
-        return cls([(label, coeff)])
+    def from_label(cls, label: Label) -> "GreenElement":
+        return cls([(label, 1)])
 
     @classmethod
     def unit(cls) -> "GreenElement":
         return cls.from_label(simple_one(0))
-
-    def _ring_mul(self, other: "GreenElement") -> "GreenElement":
-        return mul(self, other)
 
 
 def _dispatch(l1: Label, l2: Label) -> tuple[str, list[tuple[Label, int]]]:

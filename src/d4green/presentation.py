@@ -7,9 +7,11 @@ the basis
 
     1, g, x, gx, x^2, gx^2, y^n, gy^n, z^n, gz^n, X_{n,eta}, gX_{n,eta}
 
-and :func:`nf_mul` multiplies normal forms by a fixed, terminating rewrite
-table.  :func:`to_green` and :func:`from_green` realise the mutually inverse
-ring isomorphisms with the label model in :mod:`d4green.green`.
+and :func:`nf_mul` multiplies normal forms by a fixed table: ``_mul_cores``
+gives every product of two g-free monomials in closed form and never calls
+:func:`nf_mul`.  :func:`to_green` and :func:`from_green` realise the
+mutually inverse ring isomorphisms with the label model in
+:mod:`d4green.green`.
 """
 
 from __future__ import annotations
@@ -114,15 +116,12 @@ class PresElement(LinearCombination):
     """Normal-form integer combination of basis monomials."""
 
     @classmethod
-    def from_monomial(cls, m: PresMonomial, coeff: int = 1) -> "PresElement":
-        return cls([(m, coeff)])
+    def from_monomial(cls, m: PresMonomial) -> "PresElement":
+        return cls([(m, 1)])
 
     @classmethod
     def unit(cls) -> "PresElement":
         return cls.from_monomial(mono_one())
-
-    def _ring_mul(self, other: "PresElement") -> "PresElement":
-        return nf_mul(self, other)
 
 
 class GroupRingPair(NamedTuple):
@@ -179,39 +178,24 @@ def _mul_cores(m1: PresMonomial, m2: PresMonomial) -> PresElement:
     if k1 is K.ONE:
         return PresElement.from_monomial(m2)
 
-    if k1 is K.X:
+    if k1 in (K.X, K.X2):
         if k2 is K.X:
             return PresElement.from_monomial(mono_x2())
         if k2 is K.X2:
-            # x^3 = 2x + 2gx
-            return PresElement([(mono_x(), 2), (mono_x(1), 2)])
-        if k2 in (K.Y, K.Z):
+            # x^3 = 2x + 2gx and x^4 = 2x^2 + 2gx^2
+            c0 = c1 = 2
+        elif k2 in (K.Y, K.Z):
             c0, c1 = _pow_one_plus_two_g(m2.n)
-            return PresElement([(mono_x(), c0), (mono_x(1), c1)])
-        n = m2.n
-        return PresElement([(mono_x(), n), (mono_x(1), n)])
+        else:
+            c0 = c1 = m2.n
+        return PresElement([(PresMonomial(0, k1), c0), (PresMonomial(1, k1), c1)])
 
-    if k1 is K.X2:
-        if k2 is K.X2:
-            # x^4 = 2x^2 + 2gx^2
-            return PresElement([(mono_x2(), 2), (mono_x2(1), 2)])
-        if k2 in (K.Y, K.Z):
-            c0, c1 = _pow_one_plus_two_g(m2.n)
-            return PresElement([(mono_x2(), c0), (mono_x2(1), c1)])
-        n = m2.n
-        return PresElement([(mono_x2(), n), (mono_x2(1), n)])
-
-    if k1 is K.Y:
-        if k2 is K.Y:
-            return PresElement.from_monomial(mono_y(m1.n + m2.n))
+    if k1 in (K.Y, K.Z):
+        if k2 is k1:
+            return PresElement.from_monomial(PresMonomial(0, k1, m1.n + m2.n))
         if k2 is K.Z:
             return _mixed_yz(m1.n, m2.n)
-        return _string_times_band(K.Y, m1.n, m2)
-
-    if k1 is K.Z:
-        if k2 is K.Z:
-            return PresElement.from_monomial(mono_z(m1.n + m2.n))
-        return _string_times_band(K.Z, m1.n, m2)
+        return _string_times_band(k1, m1.n, m2)
 
     # band times band
     n, t = m1.n, m2.n
@@ -248,18 +232,23 @@ def _mixed_yz(m: int, n: int) -> PresElement:
 
 
 def _string_times_band(kind: PresKind, m: int, bmono: PresMonomial) -> PresElement:
-    """y^m or z^m times a band monomial, one generator step at a time."""
+    """y^m or z^m times a band monomial X = X_{n,eta}, in closed form.
+
+    The relations give zX = n x^2 + gX and yX = n g x^2 + gX, and y and z
+    both act on x^2 as u = 1 + 2g, since x(y - 1 - 2g) = 0 and
+    x(y - z) = 0.  So z^m X = g^m X + n s x^2 with
+    s = sum_{j<m} g^j u^(m-1-j), and y^m X = g^m X + n g s x^2.  On
+    (1+g)/2, g acts as 1 and u as 3; on (1-g)/2 both act as -1.  With
+    A = (3^m - 1)/2 and B = m(-1)^(m-1) this gives s = c0 + c1 g,
+    c0 = (A+B)/2 and c1 = (A-B)/2; A + B is always even.  The factor g
+    for y swaps c0 and c1.
+    """
     n = bmono.n
+    a, b = (3**m - 1) // 2, m * (-1) ** (m - 1)
+    c0, c1 = (a + b) // 2, (a - b) // 2
     if kind is PresKind.Y:
-        step = PresElement([(mono_x2(1), n), (PresMonomial(1, PresKind.BAND, n, bmono.eta), 1)])
-        gen = PresElement.from_monomial(mono_y(1))
-    else:
-        step = PresElement([(mono_x2(), n), (PresMonomial(1, PresKind.BAND, n, bmono.eta), 1)])
-        gen = PresElement.from_monomial(mono_z(1))
-    acc = step
-    for _ in range(m - 1):
-        acc = nf_mul(gen, acc)
-    return acc
+        c0, c1 = c1, c0
+    return PresElement([(mono_x2(), n * c0), (mono_x2(1), n * c1), (PresMonomial(m % 2, PresKind.BAND, n, bmono.eta), 1)])
 
 
 def _mul_monomials(m1: PresMonomial, m2: PresMonomial) -> PresElement:

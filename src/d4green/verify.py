@@ -256,22 +256,18 @@ def run_presentation(max_s: int = 2, etas=DEFAULT_ETAS, seed: int = 0, jobs: int
             report.failures.append(f"multiplicativity fails on {m1} * {m2}")
     report.lines.append(f"homomorphism    {len(pairs)} monomial pairs (n<={mul_n})")
 
-    rels = _relation_images(mul_n, etas)
-    by_family: dict[str, list[str]] = {}
-    for family, instance, value in rels:
+    instances, failed = Counter(), Counter()
+    for family, instance, value in _relation_images(mul_n, etas):
         report.checks += 1
-        bad = by_family.setdefault(family, [])
+        instances[family] += 1
         if value:
-            bad.append(instance)
+            failed[family] += 1
             report.failures.append(
                 f"relation {family} [{instance}] maps to {render_element(value)}"
             )
-    for family, _, _ in rels:
-        if family in by_family:
-            bad = by_family.pop(family)
-            count = sum(1 for f, _, _ in rels if f == family)
-            status = "ok" if not bad else f"{len(bad)} FAILED"
-            report.lines.append(f"relation {family:<40} {count:>3} instances  {status}")
+    for family, count in instances.items():
+        status = f"{failed[family]} FAILED" if failed[family] else "ok"
+        report.lines.append(f"relation {family:<40} {count:>3} instances  {status}")
 
     rng = random.Random(seed)
     triples = [tuple(rng.choice(mul_monos) for _ in range(3)) for _ in range(200)]

@@ -58,3 +58,24 @@ def test_verify_jobs2_entry_points(monkeypatch):
     reports = verify.run_scope("all", max_s=1, etas=(), seed=0, jobs=1)
     assert all(report.passed for report in reports)
     assert calls == {"table": 55, "braiding": 55}
+
+
+def test_symbolic_block_answers_match_the_label_model(monkeypatch):
+    # the symbolic workload checks each op against the label model; a
+    # wrong answer turns the benchmark's `correct` false, so run one block
+    # here with the same checks
+    monkeypatch.syspath_prepend(str(BENCH))
+    import workloads
+
+    block = next(workloads.symbolic(1))
+    failures, ok = [], 0
+    for op in block:
+        try:
+            out = op.call()
+        except ValueError:  # the 4300-digit limit that only cli.main lifts
+            failures.append(op.name)
+            continue
+        assert op.check(out), op.name
+        ok += 1
+    assert len(block) == 96
+    assert ok >= 92, failures

@@ -1,7 +1,9 @@
 import json
 import multiprocessing
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -121,6 +123,25 @@ def test_bad_eta_csv_exits_2(capsys):
         code, out, err = run(capsys, "verify", "table", "--etas", etas)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize("etas, item", [("0,,1", 2), ("0,", 2), (",", 1)])
+def test_empty_eta_item_exits_2(capsys, etas, item):
+    code, out, err = run(capsys, "verify", "table", "--max-s", "1", "--etas", etas)
+    assert (code, out) == (2, "")
+    assert err == f"error: --etas item {item} of {etas!r} is empty"
+
+
+def test_closed_stdout_exits_141():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "d4green.cli", "verify", "table", "--max-s", "1"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.parametrize("scope", ["table", "presentation", "braiding", "all"])

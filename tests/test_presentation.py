@@ -4,9 +4,14 @@ from hypothesis import strategies as st
 
 from conftest import ETA_POOL, labels
 from d4green.green import ETA_INF, GreenElement, band, eta, mul, omega, projective, simple_one, simple_two
+from d4green import presentation
 from d4green.presentation import (
     GroupRingPair,
     PresElement,
+    PresKind,
+    PresMonomial,
+    _mul_cores,
+    _string_times_band,
     a_seq,
     f_poly,
     from_green,
@@ -109,6 +114,52 @@ def test_mixed_yz_deep_powers():
     k = (9**1200 - 8 * 1200 - 1) // 8 * 3**300
     c0, c1 = (3**300 + 1) // 2, (3**300 - 1) // 2
     assert got == pe((mono_y(300), 1), (mono_x2(), 2400 * c0 + k), (mono_x2(1), 2400 * c1 + k))
+
+
+def _string_times_band_by_steps(kind, max_m, bmono):
+    """y^m or z^m times a band monomial for m = 1..max_m, one generator
+    step at a time: the reference."""
+    n = bmono.n
+    if kind is PresKind.Y:
+        step = PresElement([(mono_x2(1), n), (PresMonomial(1, PresKind.BAND, n, bmono.eta), 1)])
+        gen = PresElement.from_monomial(mono_y(1))
+    else:
+        step = PresElement([(mono_x2(), n), (PresMonomial(1, PresKind.BAND, n, bmono.eta), 1)])
+        gen = PresElement.from_monomial(mono_z(1))
+    acc = step
+    for _ in range(max_m):
+        yield acc
+        acc = nf_mul(gen, acc)
+
+
+@pytest.mark.parametrize("kind", [PresKind.Y, PresKind.Z], ids=["y", "z"])
+def test_string_times_band_closed_form_matches_steps(kind):
+    for n in (1, 2, 3, 7):
+        for e in (0, '5/7', ETA_INF):
+            bmono = mono_band(n, e)
+            for m, want in enumerate(_string_times_band_by_steps(kind, 120, bmono), 1):
+                assert _string_times_band(kind, m, bmono) == want
+
+
+@pytest.mark.parametrize("power", [mono_y, mono_z])
+def test_string_times_band_matches_label_model(power):
+    for m in range(1, 40):
+        for i in (0, 1):
+            for j in (0, 1):
+                for n in (1, 2, 3, 7):
+                    for e in (0, '5/7', ETA_INF):
+                        p, q = pe((power(m, i), 1)), pe((mono_band(n, e, j), 1))
+                        assert to_green(nf_mul(p, q)) == mul(to_green(p), to_green(q))
+
+
+def test_mul_cores_never_calls_nf_mul(monkeypatch):
+    def refuse(p, q):
+        raise AssertionError("_mul_cores called nf_mul")
+
+    monkeypatch.setattr(presentation, "nf_mul", refuse)
+    for power in (mono_y, mono_z):
+        got = _mul_cores(power(500), mono_band(3, '5/7'))
+        assert got.coeff(mono_band(3, '5/7')) == 1
 
 
 def test_to_green_examples():
