@@ -9,13 +9,20 @@ entry.
 
 Zero rule: a zero entry should be the shared object ``_ZERO``.  Those
 kernels test ``x is not _ZERO and x``, so a shared zero costs one identity
-check and any other zero falls through to ``Fraction.__bool__``.  The rule
+check and any other zero falls through to ``Fraction.__bool__``.
+``is_zero`` and ``_zeros`` (which ``replab``'s weight split uses) count
+zeros with ``list.count(_ZERO)`` at C speed: a shared zero matches by
+identity, and only the other entries call ``Fraction.__eq__``.
+``__matmul__`` lists the nonzeros of a row of its right operand only when
+a nonzero of the left operand first reaches that row, so a product with
+a sparse left operand never scans the rows it does not reach.  The rule
 changes speed, never a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -96,7 +103,7 @@ class RatMatrix:
         return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
 
     def is_zero(self) -> bool:
-        return all(x is _ZERO or not x for row in self.data for x in row)
+        return all(row.count(_ZERO) == len(row) for row in self.data)
 
     def __eq__(self, other) -> bool:
         return (
@@ -139,10 +146,14 @@ class RatMatrix:
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = [[_ZERO] * other.cols for _ in range(self.rows)]
-        onz = _nonzeros(other.data)
+        # the nonzeros of a row of other, scanned when a nonzero of self first reaches it
+        onz = [None] * other.rows
         for acc, row in zip(out, self.data):
-            for a, orow in zip(row, onz):
+            for k, a in enumerate(row):
                 if a is not _ZERO and a:
+                    orow = onz[k]
+                    if orow is None:
+                        orow = onz[k] = _row_nonzeros(other.data[k])
                     for j, b in orow:
                         acc[j] = acc[j] + a * b
         return RatMatrix(self.rows, other.cols, out)
@@ -166,7 +177,7 @@ class RatMatrix:
         """Tensor product: entry ((i*rB+k), (j*cB+l)) is self[i,j]*other[k,l]."""
         rb, cb = other.rows, other.cols
         out = [[_ZERO] * (self.cols * cb) for _ in range(self.rows * rb)]
-        onz = _nonzeros(other.data)
+        onz = list(map(_row_nonzeros, other.data))
         for i, row in enumerate(self.data):
             for j, a in enumerate(row):
                 if a is not _ZERO and a:
@@ -274,9 +285,14 @@ class RatMatrix:
         return inv
 
 
-def _nonzeros(data: list[list[Fraction]]) -> list[list[tuple[int, Fraction]]]:
-    """(column, entry) of the nonzero entries of each row."""
-    return [[(j, x) for j, x in enumerate(row) if x is not _ZERO and x] for row in data]
+def _row_nonzeros(row: list[Fraction]) -> list[tuple[int, Fraction]]:
+    """(column, entry) of the nonzero entries of a row."""
+    return [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
+
+
+def _zeros(data: list[list[Fraction]]) -> int:
+    """The number of zero entries, counted by ``list.count`` at C speed."""
+    return sum(map(list.count, data, repeat(_ZERO)))
 
 
 def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:
@@ -356,13 +372,8 @@ def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, RatMa
     Returns (proj, lift) with proj of shape q x dim, lift of shape dim x q,
     proj @ lift = identity, and kernel(proj) exactly the subspace.
     """
-    basis = span_basis(sub_basis, dim)
-    pivots = []
-    for row in basis:
-        for j, x in enumerate(row):
-            if x is not _ZERO and x:
-                pivots.append(j)
-                break
+    basis = [_fr_list(v) for v in sub_basis]
+    pivots = _rref_inplace(basis, dim) if basis else []
     pivot_set = set(pivots)
     free = [j for j in range(dim) if j not in pivot_set]
     q = len(free)

@@ -18,8 +18,9 @@ The decomposition works on the (b, c) weight spaces:
    (-β, -γ).  :func:`_weight_split` reads the weights off the diagonals of
    b and c and cuts a and d into blocks between paired weight spaces; it
    computes joint eigenvectors only for modules in other bases.  Weights
-   (1,-1) and (-1,1) make up the bc = -1 part, a semisimple pile of
-   two-dimensional simples counted by the ranks of its blocks.
+   (1,-1) and (-1,1) make up the bc = -1 part.  Once its relations a^2 = 0,
+   d^2 = 0 and da + ad = 2 are checked, it is a semisimple pile of
+   two-dimensional simples counted by the ranks of its a blocks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
    rank of the J^2 block x -> adx counts them.
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 from typing import NamedTuple
 
 from .green import (
@@ -58,7 +60,8 @@ from .green import (
 from .linalg import (
     _ONE,
     _ZERO,
-    _nonzeros,
+    _row_nonzeros,
+    _zeros,
     RatMatrix,
     annihilator_basis,
     express_in_basis,
@@ -234,13 +237,11 @@ def _coproduct(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> RatMatrix:
     """
     out = x.kron(y)
     k = z.rows
-    for i in range(x.rows):
-        base = i * k
-        for r, zrow in enumerate(z.data):
-            row = out.data[base + r]
-            for j, v in enumerate(zrow):
-                if v is not _ZERO and v:
-                    row[base + j] += v
+    znz = list(map(_row_nonzeros, z.data))
+    for base in range(0, x.rows * k, k):
+        for row, nz in zip(out.data[base : base + k], znz):
+            for j, v in nz:
+                row[base + j] += v
     return out
 
 
@@ -396,33 +397,49 @@ def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix
     of its basis vectors.  Weights are read off the diagonals of b and c; a
     module in another basis is first rewritten by :func:`_joint_eigenbasis`.
     Raises DecompositionError when a or d has a part outside the flipped weight.
+
+    The checks count zeros at C speed, never test entry by entry.  Once each
+    diagonal entry is a weight, b and c are diagonal iff they have n - 1
+    zeros per row, that is n(n - 1) in all, as no row has more.  Likewise a
+    or d stays in the flipped weights iff its zeros outside the blocks are
+    as many as its entries outside them.
     """
     n = rep.dim
     groups = [[i for i in range(n) if (rep.b.data[i][i], rep.c.data[i][i]) == w] for w in _WEIGHTS]
-    off_diagonal = any(j != i for m in (rep.b, rep.c) for i, row in enumerate(_nonzeros(m.data)) for j, _ in row)
-    if off_diagonal or sum(map(len, groups)) != n:
+    if sum(map(len, groups)) != n or _zeros(rep.b.data) + _zeros(rep.c.data) != 2 * n * (n - 1):
         rewritten, pmat = _joint_eigenbasis(rep)
         plus, minus, basis = _weight_split(rewritten)
         return plus, minus, [pmat @ m for m in basis]
-    weight = {i: w for w, group in enumerate(groups) for i in group}
+    # the entries of a row at a weight's columns
+    picks = [
+        itemgetter(*cols) if len(cols) > 1 else lambda row, cols=cols: [row[j] for j in cols]
+        for cols in groups
+    ]
     blocks = []
     for name, rows in (("a", rep.a.data), ("d", rep.d.data)):
-        kept = [weight[j] for i, row in enumerate(_nonzeros(rows)) for j, _ in row if weight[i] != weight[j] ^ 1]
-        if kept:
-            raise DecompositionError(
-                f"{name} does not send each (b, c) weight to its negative: "
-                f"it sends part of weight {_WEIGHTS[min(kept)]} outside weight {_WEIGHTS[min(kept) ^ 1]}"
-            )
-        blocks.append([
-            RatMatrix(len(groups[w ^ 1]), len(cols), [[rows[i][j] for j in cols] for i in groups[w ^ 1]])
-            for w, cols in enumerate(groups)
-        ])
+        block = []
+        for w, cols in enumerate(groups):
+            src = map(rows.__getitem__, groups[w ^ 1])
+            block.append(RatMatrix(len(groups[w ^ 1]), len(cols), list(map(list, map(picks[w], src)))))
+        if _zeros(rows) - sum(_zeros(m.data) for m in block) != n * n - sum(m.rows * m.cols for m in block):
+            _raise_outside_flipped_weight(name, rows, groups)
+        blocks.append(block)
     a, d = blocks
     basis = [RatMatrix.zeros(n, len(group)) for group in groups]
     for m, group in zip(basis, groups):
         for j, i in enumerate(group):
             m.data[i][j] = _ONE
     return _Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), basis
+
+
+def _raise_outside_flipped_weight(name: str, rows: list[list[Fraction]], groups: list[list[int]]):
+    """Name the least weight whose part the generator's rows send outside its negative."""
+    weight = {i: w for w, group in enumerate(groups) for i in group}
+    kept = [weight[j] for i, row in enumerate(rows) for j, x in enumerate(row) if x and weight[i] != weight[j] ^ 1]
+    raise DecompositionError(
+        f"{name} does not send each (b, c) weight to its negative: "
+        f"it sends part of weight {_WEIGHTS[min(kept)]} outside weight {_WEIGHTS[min(kept) ^ 1]}"
+    )
 
 
 def _embed(basis: RatMatrix, vectors: list) -> list[list[Fraction]]:
@@ -823,16 +840,27 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
 
 
 def _two_dim_labels(part: _Graded) -> list[Label]:
-    """Labels of the bc = -1 part: a semisimple pile of two-dimensional simples."""
-    half = part.dims[0]
-    if part.dims[1] != half:
-        raise DecompositionError("b eigenspaces of the bc = -1 block are unbalanced")
-    m0, m1 = part.a[0].rank(), part.a[1].rank()
-    if m0 + m1 != half:
-        raise DecompositionError("bc = -1 block is not a sum of two-dimensional simples")
-    if part.d[0].rank() != m1 or part.d[1].rank() != m0:
-        raise DecompositionError("d action inconsistent on the bc = -1 block")
-    return [simple_two(0)] * m0 + [simple_two(1)] * m1
+    """Labels of the bc = -1 part: a semisimple pile of two-dimensional simples.
+
+    Once a and d flip the weights, the defining relations on this part come
+    down to a^2 = 0, d^2 = 0 and da + ad = 2, checked here on each side.
+    They make ad/2 and da/2 complementary idempotents with images a(M) and
+    d(M), and a maps d(M) isomorphically onto a(M).  So the rank of a on
+    side p counts the V(2, p) summands, and the two sides balance.
+    """
+    for p in (0, 1):
+        n, m = part.dims[p], part.dims[1 - p]
+        a, d = part.a[1 - p], part.d[1 - p]
+        for relation, x, y in (("a^2 = 0", a, part.a[p]), ("d^2 = 0", d, part.d[p])):
+            if not (x @ y).is_zero():
+                raise DecompositionError(f"{relation} fails on side {p} of the bc = -1 part")
+        # da + ad as one product: (d | a) times (a over d) on side p
+        da_ad = RatMatrix(n, 2 * m, [x + y for x, y in zip(d.data, a.data)]) @ RatMatrix(
+            2 * m, n, part.a[p].data + part.d[p].data
+        )
+        if da_ad != RatMatrix.diagonal([2] * n):
+            raise DecompositionError(f"da + ad = 2 fails on side {p} of the bc = -1 part")
+    return [simple_two(0)] * part.a[0].rank() + [simple_two(1)] * part.a[1].rank()
 
 
 def _ll2_labels(part: _Graded) -> list[Label]:
@@ -860,6 +888,12 @@ def _ll2_labels(part: _Graded) -> list[Label]:
     return labels
 
 
+def _unit(n: int, j: int) -> list[Fraction]:
+    v = [_ZERO] * n
+    v[j] = _ONE
+    return v
+
+
 def _one_dim_type_labels(part: _Graded) -> list[Label]:
     """Labels of the bc = +1 part: the projectives, split off first, then the rest.
 
@@ -873,7 +907,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [m.rref()[1] for m in sq]
     span = [
-        [[_ONE if i == j else _ZERO for i in range(part.dims[p])] for j in tops[p]]
+        [_unit(part.dims[p], j) for j in tops[p]]
         + [sq[p].column(j) for j in tops[p]]
         + [x[1 - p].column(j) for x in part for j in tops[1 - p]]
         for p in (0, 1)
@@ -904,6 +938,18 @@ def decompose(rep: Representation) -> list[Label]:
 
     Deterministic.  Raises DecompositionError when the input does not split
     into the known label set over the rationals.
+
+    The stages certify these defining relations:
+
+    - the weight split: b^2 = c^2 = 1 and bc = cb (the weight spaces fill
+      the module), and a and d anticommute with b and c (they flip weights);
+    - the bc = -1 part: a^2 = 0, d^2 = 0 and da + ad = 2 there;
+    - the bc = +1 part: only that the projective span is a submodule and
+      that the radical square vanishes on the quotient by it.  a^2 = 0,
+      d^2 = 0 and da + ad = 0 are not checked there, so a non-module can
+      still get labels: b = c = diag(1, 1, -1, -1) with a[0][2] = 1,
+      a[3][1] = -1 and d[1][2] = -1 is labelled [P(1)], although
+      ad = E_32 is not -da.
     """
     n = rep.dim
     if n == 0:

@@ -171,16 +171,30 @@ def test_zero_rule_changes_no_result(m, data):
             span_basis(a.data, a.cols),
             a.solve_matrix(a),
             a.solve_matrix(RatMatrix.identity(a.rows)),
+            a.is_zero(),
+            # one left row reaches only the rows of a at its nonzeros
+            RatMatrix(1, a.rows, t.data[:1]) @ a,
+            quotient_maps(a.data, a.cols),
         ]
         if a.is_invertible():
             out.append(a.inverse())
         return out
 
+    def naive_product(x: RatMatrix, y: RatMatrix) -> RatMatrix:
+        cols = y.transpose().data
+        rows = [[sum((u * v for u, v in zip(row, col)), Fraction(0)) for col in cols] for row in x.data]
+        return RatMatrix(x.rows, y.cols, rows)
+
     shared = results(_with_zeros(sparse, lambda: _ZERO))
     assert shared == results(_with_zeros(sparse, lambda: Fraction(0)))
     a = _with_zeros(sparse, lambda: _ZERO)
-    product = [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in a.data] for row in a.data]
-    assert shared[2] == RatMatrix(a.rows, a.rows, product)
+    assert shared[2] == naive_product(a, a.transpose())
+    assert shared[8] == all(x == 0 for row in a.data for x in row)
+    assert shared[9] == naive_product(RatMatrix(1, a.rows, [a.column(0)]), a)
+    proj, lift = shared[10]
+    assert proj @ lift == RatMatrix.identity(proj.rows)
+    assert (proj @ a.transpose()).is_zero()
+    assert proj.rows == a.cols - a.rank()
 
 
 def test_quotient_maps():

@@ -20,7 +20,7 @@ from d4green.green import (
     simple_one,
     simple_two,
 )
-from d4green.linalg import RatMatrix
+from d4green.linalg import _ZERO, RatMatrix
 from d4green.verify import DEFAULT_ETAS, grid_labels
 from d4green.replab import (
     DecompositionError,
@@ -444,6 +444,81 @@ def test_weight_read_off_matches_joint_eigenbasis_rewrite():
         assert [pmat @ m for m in r_basis] == basis
 
 
+def _dense_weight_split(rep):
+    """The weight split by a dense scan of every entry: the reference for _weight_split."""
+    n = rep.dim
+    nonzeros = lambda data: [[(j, x) for j, x in enumerate(row) if x is not _ZERO and x] for row in data]
+    groups = [[i for i in range(n) if (rep.b.data[i][i], rep.c.data[i][i]) == w] for w in replab._WEIGHTS]
+    off_diagonal = any(j != i for m in (rep.b, rep.c) for i, row in enumerate(nonzeros(m.data)) for j, _ in row)
+    if off_diagonal or sum(map(len, groups)) != n:
+        rewritten, pmat = replab._joint_eigenbasis(rep)
+        plus, minus, basis = _dense_weight_split(rewritten)
+        return plus, minus, [pmat @ m for m in basis]
+    weight = {i: w for w, group in enumerate(groups) for i in group}
+    blocks = []
+    for name, rows in (("a", rep.a.data), ("d", rep.d.data)):
+        kept = [weight[j] for i, row in enumerate(nonzeros(rows)) for j, _ in row if weight[i] != weight[j] ^ 1]
+        if kept:
+            raise DecompositionError(
+                f"{name} does not send each (b, c) weight to its negative: "
+                f"it sends part of weight {replab._WEIGHTS[min(kept)]} outside weight {replab._WEIGHTS[min(kept) ^ 1]}"
+            )
+        blocks.append([
+            RatMatrix(len(groups[w ^ 1]), len(cols), [[rows[i][j] for j in cols] for i in groups[w ^ 1]])
+            for w, cols in enumerate(groups)
+        ])
+    a, d = blocks
+    basis = [RatMatrix.zeros(n, len(group)) for group in groups]
+    for m, group in zip(basis, groups):
+        for j, i in enumerate(group):
+            m.data[i][j] = Fraction(1)
+    return replab._Graded((a[0], a[1]), (d[0], d[1])), replab._Graded((a[2], a[3]), (d[2], d[3])), basis
+
+
+@st.composite
+def weight_diagonal_modules(draw):
+    """b, c diagonal in the weights, a and d between paired weights, then perturbed.
+
+    The perturbations: up to two a/d entries set at random places (most of
+    them keep a weight or move it to a third one), zeros that are fresh
+    Fraction(0) objects rather than the shared zero, and a random change of
+    basis, which sends the module through the joint eigenbasis rewrite.
+    """
+    n = draw(st.integers(min_value=1, max_value=7))
+    weight = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    entry = st.sampled_from([0, 0, 1, -1, 2, Fraction(1, 2)])
+    a, d = (
+        [[draw(entry) if weight[i] == weight[j] ^ 1 else 0 for j in range(n)] for i in range(n)] for _ in "ad"
+    )
+    for rows in draw(st.lists(st.sampled_from([a, d]), max_size=2)):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.sampled_from([1, -3]))
+    b = RatMatrix.diagonal([replab._WEIGHTS[w][0] for w in weight])
+    c = RatMatrix.diagonal([replab._WEIGHTS[w][1] for w in weight])
+    rep = Representation(RatMatrix.from_rows(a), b, c, RatMatrix.from_rows(d))
+    if draw(st.booleans()):
+        fresh = lambda m: RatMatrix(m.rows, m.cols, [[x if x else Fraction(0) for x in row] for row in m.data])
+        rep = Representation(*map(fresh, rep.generators()))
+    if draw(st.booleans()):
+        import random
+
+        rep = _conjugate(rep, random.Random(draw(st.integers(0, 2**16))))
+    return rep
+
+
+def _split_or_error(split, rep):
+    try:
+        return split(rep)
+    except DecompositionError as exc:
+        return str(exc)
+
+
+@given(weight_diagonal_modules())
+@settings(max_examples=150, deadline=None)
+def test_weight_split_matches_the_dense_scan(rep):
+    assert _split_or_error(replab._weight_split, rep) == _split_or_error(_dense_weight_split, rep)
+
+
 def test_standard_models_never_reach_the_joint_eigenbasis(monkeypatch):
     def rewrite(rep):
         raise AssertionError("a standard model reached the joint eigenbasis rewrite")
@@ -659,6 +734,53 @@ def test_decompose_rejects_non_module():
     )
     with pytest.raises(DecompositionError):
         decompose(bad)
+
+
+@pytest.mark.parametrize(
+    "a, d, relation",
+    [
+        ([[0, 0], [1, 0]], [[0, 1], [0, 0]], r"da \+ ad = 2"),  # da + ad = I, not 1 - bc = 2I
+        ([[0, 1], [1, 0]], [[0, 0], [0, 0]], r"a\^2 = 0"),
+        ([[0, 0], [0, 0]], [[0, 1], [1, 0]], r"d\^2 = 0"),
+    ],
+)
+def test_decompose_rejects_a_bc_minus_one_part_that_breaks_its_relations(a, d, relation):
+    # weights (1,-1) and (-1,1): the whole module is the bc = -1 part
+    rep = Representation(
+        RatMatrix.from_rows(a), RatMatrix.diagonal([1, -1]), RatMatrix.diagonal([-1, 1]), RatMatrix.from_rows(d)
+    )
+    assert not check_relations(rep)
+    with pytest.raises(DecompositionError, match=rf"^{relation} fails on side 0 of the bc = -1 part$"):
+        decompose(rep)
+
+
+@st.composite
+def perturbed_two_dim_piles(draw):
+    """Direct sums of V(2, 0) and V(2, 1), with up to two a or d entries between
+    the two weights reset, in a random basis or not."""
+    rep = direct_sum([build(simple_two(r)) for r in draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=4))])
+    a, b, c, d = (m.copy() for m in rep.generators())
+    for _ in range(draw(st.integers(0, 2))):
+        i, j = draw(st.integers(0, rep.dim - 1)), draw(st.integers(0, rep.dim - 1))
+        if b.data[i][i] != b.data[j][j]:
+            draw(st.sampled_from([a, d])).data[i][j] = Fraction(draw(st.sampled_from([-1, 0, 1, 2])))
+    rep = Representation(a, b, c, d)
+    if draw(st.booleans()):
+        import random
+
+        rep = _conjugate(rep, random.Random(draw(st.integers(0, 2**16))))
+    return rep
+
+
+@given(perturbed_two_dim_piles())
+@settings(max_examples=150, deadline=None)
+def test_a_bc_minus_one_module_is_labelled_iff_it_is_a_module(rep):
+    try:
+        labels = decompose(rep)
+    except DecompositionError:
+        labels = None
+    assert (labels is not None) == check_relations(rep)
+    assert labels is None or set(labels) <= {simple_two(0), simple_two(1)}
 
 
 # -- braiding -----------------------------------------------------------------------
