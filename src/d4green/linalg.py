@@ -7,22 +7,27 @@ arithmetic.  Matrices reach a few hundred rows (the tensor product of two
 lists and elimination, products and Kronecker products work per nonzero
 entry.
 
-Zero rule: a zero entry should be the shared object ``_ZERO``.  Those
-kernels test ``x is not _ZERO and x``, so a shared zero costs one identity
-check and any other zero falls through to ``Fraction.__bool__``.
-``is_zero`` and ``_zeros`` (which ``replab``'s weight split uses) count
-zeros with ``list.count(_ZERO)`` at C speed: a shared zero matches by
-identity, and only the other entries call ``Fraction.__eq__``.
-``__matmul__`` lists the nonzeros of a row of its right operand only when
-a nonzero of the left operand first reaches that row, so a product with
-a sparse left operand never scans the rows it does not reach.  The rule
-changes speed, never a result.
+That layout and the zero rule below are private to this module: callers
+build, stack and cut matrices with ``from_rows``, ``from_columns``,
+``from_entries``, ``block`` and ``take``.
+
+Zero rule: a zero entry should be the shared object ``_ZERO``, as every
+zero that ``from_entries``, ``block``, ``shift`` and ``kron_plus`` write
+is.  The kernels test ``x is not _ZERO and x``, so a shared zero costs one
+identity check and any other zero falls through to ``Fraction.__bool__``.
+``is_zero`` and ``zero_count`` count zeros with ``list.count(_ZERO)`` at C
+speed: a shared zero matches by identity, and only the other entries call
+``Fraction.__eq__``.  ``__matmul__`` lists the nonzeros of a row of its
+right operand only when a nonzero of the left operand first reaches that
+row, so a product with a sparse left operand never scans the rows it does
+not reach.  The rule changes speed, never a result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 _ZERO = Fraction(0)
@@ -73,11 +78,46 @@ class RatMatrix:
 
     @classmethod
     def diagonal(cls, entries: Sequence) -> "RatMatrix":
-        n = len(entries)
-        m = cls.zeros(n, n)
-        for i, x in enumerate(entries):
-            m.data[i][i] = _fr(x)
-        return m
+        return cls.from_entries(len(entries), len(entries), {(i, i): x for i, x in enumerate(entries)})
+
+    @classmethod
+    def from_entries(cls, rows: int, cols: int, entries: dict) -> "RatMatrix":
+        """The rows x cols matrix with entry x at each (i, j): x, and zeros elsewhere."""
+        data = [[_ZERO] * cols for _ in range(rows)]
+        for (i, j), x in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i}, {j}) outside a {rows}x{cols} matrix")
+            if x:
+                data[i][j] = _fr(x)
+        return cls(rows, cols, data)
+
+    @classmethod
+    def block(cls, grid: Sequence[Sequence["RatMatrix | None"]]) -> "RatMatrix":
+        """The block matrix of a grid given as rows of blocks, where None is a zero block.
+
+        A block row is as high as its matrices and a block column as wide as
+        its matrices; one without any matrix is empty.
+        """
+        heights = [0] * len(grid)
+        widths = [0] * (len(grid[0]) if grid else 0)
+        for i, row in enumerate(grid):
+            if len(row) != len(widths):
+                raise ValueError("ragged block grid")
+            for j, m in enumerate(row):
+                if m is not None:
+                    heights[i], widths[j] = m.rows, m.cols
+        data = []
+        for h, row in zip(heights, grid):
+            strips = []
+            for m, w in zip(row, widths):
+                if m is None:
+                    strips.append([[_ZERO] * w] * h)
+                elif m.rows == h and m.cols == w:
+                    strips.append(m.data)
+                else:
+                    raise ValueError("blocks of one block row or column differ in size")
+            data += map(sum, zip(*strips), repeat([]))
+        return cls(sum(heights), sum(widths), data)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "RatMatrix":
@@ -98,6 +138,20 @@ class RatMatrix:
 
     def columns(self) -> list[list[Fraction]]:
         return [self.column(j) for j in range(self.cols)]
+
+    def diagonal_entries(self) -> list[Fraction]:
+        return list(map(list.__getitem__, self.data, range(self.cols)))
+
+    def zero_count(self) -> int:
+        """The number of zero entries, counted by ``list.count`` at C speed."""
+        return sum(map(list.count, self.data, repeat(_ZERO)))
+
+    def take(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
+        """The submatrix at the given row and column indices, in their order."""
+        if rows and not 0 <= min(rows) <= max(rows) < self.rows or cols and not 0 <= min(cols) <= max(cols) < self.cols:
+            raise ValueError(f"index outside a {self.rows}x{self.cols} matrix")
+        pick = itemgetter(*cols) if len(cols) > 1 else lambda row: [row[j] for j in cols]
+        return RatMatrix(len(rows), len(cols), list(map(list, map(pick, map(self.data.__getitem__, rows)))))
 
     def copy(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
@@ -141,6 +195,15 @@ class RatMatrix:
     def scale(self, k) -> "RatMatrix":
         k = _fr(k)
         return RatMatrix(self.rows, self.cols, [[k * x for x in row] for row in self.data])
+
+    def shift(self, k) -> "RatMatrix":
+        """self + k I, for a square matrix."""
+        if self.rows != self.cols:
+            raise ValueError("shift of a non-square matrix")
+        data = [row[:] for row in self.data]
+        for i, row in enumerate(data):
+            row[i] = row[i] + k or _ZERO
+        return RatMatrix(self.rows, self.cols, data)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
@@ -187,6 +250,24 @@ class RatMatrix:
                             dest[base + l] = a * b
         return RatMatrix(self.rows * rb, self.cols * cb, out)
 
+    def kron_plus(self, other: "RatMatrix", z: "RatMatrix") -> "RatMatrix":
+        """self (x) other + 1 (x) z, for square self and z of the shape of other.
+
+        1 (x) z is z in every diagonal block, so it is added into those blocks in place.
+        """
+        if self.rows != self.cols or z.rows != other.rows or z.cols != other.cols:
+            raise ValueError("kron_plus needs a square self and z of the shape of other")
+        out = self.kron(other)
+        k, m = z.rows, z.cols
+        znz = list(map(_row_nonzeros, z.data))
+        for i in range(self.rows):
+            base = i * m
+            for row, nz in zip(out.data[i * k : (i + 1) * k], znz):
+                for j, v in nz:
+                    x = row[base + j]
+                    row[base + j] = v if x is _ZERO else x + v or _ZERO
+        return out
+
     def _check_same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
@@ -219,13 +300,6 @@ class RatMatrix:
                     v[p] = -x
             basis.append(v)
         return basis
-
-    def solve(self, b: Sequence) -> list[Fraction] | None:
-        """One solution of self @ x = b, or None when inconsistent."""
-        if len(b) != self.rows:
-            raise ValueError("right-hand side length mismatch")
-        sol = self.solve_matrix(RatMatrix.from_columns([b], rows=self.rows))
-        return sol.column(0) if sol is not None else None
 
     def solve_matrix(self, rhs: "RatMatrix") -> "RatMatrix | None":
         """Solve self @ X = rhs columnwise; None when any column is inconsistent."""
@@ -288,11 +362,6 @@ class RatMatrix:
 def _row_nonzeros(row: list[Fraction]) -> list[tuple[int, Fraction]]:
     """(column, entry) of the nonzero entries of a row."""
     return [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
-
-
-def _zeros(data: list[list[Fraction]]) -> int:
-    """The number of zero entries, counted by ``list.count`` at C speed."""
-    return sum(map(list.count, data, repeat(_ZERO)))
 
 
 def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:

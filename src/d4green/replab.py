@@ -41,8 +41,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import lcm
-from operator import itemgetter
 from typing import NamedTuple
 
 from .green import (
@@ -58,10 +58,6 @@ from .green import (
     simple_two,
 )
 from .linalg import (
-    _ONE,
-    _ZERO,
-    _row_nonzeros,
-    _zeros,
     RatMatrix,
     annihilator_basis,
     express_in_basis,
@@ -151,12 +147,8 @@ def _simple_two_rep(r: int) -> Representation:
 
 def _projective_rep(r: int) -> Representation:
     e = 1 if r == 0 else -1
-    a = RatMatrix.zeros(4, 4)
-    a.data[1][0] = Fraction(1)
-    a.data[3][2] = Fraction(1)
-    d = RatMatrix.zeros(4, 4)
-    d.data[2][0] = Fraction(1)
-    d.data[3][1] = Fraction(-1)
+    a = RatMatrix.from_entries(4, 4, {(1, 0): 1, (3, 2): 1})
+    d = RatMatrix.from_entries(4, 4, {(2, 0): 1, (3, 1): -1})
     b = RatMatrix.diagonal([e, -e, -e, e])
     return Representation(a, b, b.copy(), d)
 
@@ -164,19 +156,14 @@ def _projective_rep(r: int) -> Representation:
 def _band_rep(s: int, r: int, e: Eta) -> Representation:
     # basis order: v_{1,1}..v_{1,s}, v_{2,1}..v_{2,s}
     n = 2 * s
-    a = RatMatrix.zeros(n, n)
-    d = RatMatrix.zeros(n, n)
+    diagonal = {(s + i, i): 1 for i in range(s)}
+    superdiagonal = {(s + i - 1, i): 1 for i in range(1, s)}
     if e.is_infinite:
-        for i in range(1, s):
-            a.data[s + i - 1][i] = Fraction(1)
-        for i in range(s):
-            d.data[s + i][i] = Fraction(1)
+        a = RatMatrix.from_entries(n, n, superdiagonal)
+        d = RatMatrix.from_entries(n, n, diagonal)
     else:
-        for i in range(s):
-            a.data[s + i][i] = Fraction(1)
-            d.data[s + i][i] = -e.value
-            if i >= 1:
-                d.data[s + i - 1][i] = Fraction(-1)
+        a = RatMatrix.from_entries(n, n, diagonal)
+        d = RatMatrix.from_entries(n, n, {k: -1 for k in superdiagonal} | {k: -e.value for k in diagonal})
     top = 1 if r == 1 else -1
     b = RatMatrix.diagonal([top] * s + [-top] * s)
     return Representation(a, b, b.copy(), d)
@@ -229,26 +216,10 @@ def check_relations(rep: Representation) -> bool:
 # -- monoidal structure ----------------------------------------------------
 
 
-def _coproduct(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> RatMatrix:
-    """x (x) y + 1 (x) z, for square x, y and z with y and z of one size.
-
-    1 (x) z is z in every diagonal block, so z is added into the diagonal
-    blocks of x (x) y in place rather than formed as a second dense matrix.
-    """
-    out = x.kron(y)
-    k = z.rows
-    znz = list(map(_row_nonzeros, z.data))
-    for base in range(0, x.rows * k, k):
-        for row, nz in zip(out.data[base : base + k], znz):
-            for j, v in nz:
-                row[base + j] += v
-    return out
-
-
 def tensor(m: Representation, n: Representation) -> Representation:
     """Tensor product along the comultiplication a -> a(x)b + 1(x)a, d -> d(x)c + 1(x)d."""
     return Representation(
-        _coproduct(m.a, n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), _coproduct(m.d, n.c, n.d)
+        m.a.kron_plus(n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron_plus(n.c, n.d)
     )
 
 
@@ -263,26 +234,13 @@ def dual(m: Representation) -> Representation:
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
-    dims = [r.dim for r in reps]
-    total = sum(dims)
+    # the diagonal is picked by position: one cached module may come several times
+    def diagonal(k: int) -> RatMatrix:
+        return RatMatrix.block(
+            [[r.generators()[k] if j == i else None for j in range(len(reps))] for i, r in enumerate(reps)]
+        )
 
-    def block(pick) -> RatMatrix:
-        out = RatMatrix.zeros(total, total)
-        off = 0
-        for r in reps:
-            mat = pick(r)
-            for i in range(r.dim):
-                row = out.data[off + i]
-                src = mat.data[i]
-                for j in range(r.dim):
-                    if src[j]:
-                        row[off + j] = src[j]
-            off += r.dim
-        return out
-
-    return Representation(
-        block(lambda r: r.a), block(lambda r: r.b), block(lambda r: r.c), block(lambda r: r.d)
-    )
+    return Representation(*map(diagonal, range(4)))
 
 
 # -- hom spaces and isomorphism --------------------------------------------
@@ -291,25 +249,16 @@ def direct_sum(reps: list[Representation]) -> Representation:
 def hom_space(m: Representation, n: Representation) -> list[RatMatrix]:
     """Basis of the intertwiners: all F with F a_M = a_N F (and likewise for b, c, d)."""
     nm, nn = m.dim, n.dim
-    if nm == 0 or nn == 0:
-        return []
-    blocks = []
     i_m = RatMatrix.identity(nm)
     i_n = RatMatrix.identity(nn)
-    for xm, xn in zip(m.generators(), n.generators()):
-        blocks.append(i_m.kron(xn) - xm.transpose().kron(i_n))
-    stacked = RatMatrix(
-        4 * nm * nn, nm * nn, [row for blk in blocks for row in blk.data]
+    stacked = RatMatrix.block(
+        [[i_m.kron(xn) - xm.transpose().kron(i_n)] for xm, xn in zip(m.generators(), n.generators())]
     )
-    basis = []
-    for vec in stacked.kernel_basis():
-        # column-major unvec: entry (i, j) of F sits at index j*nn + i
-        mat = RatMatrix.zeros(nn, nm)
-        for j in range(nm):
-            for i in range(nn):
-                mat.data[i][j] = vec[j * nn + i]
-        basis.append(mat)
-    return basis
+    # column-major unvec: entry (i, j) of F sits at index j*nn + i
+    return [
+        RatMatrix.from_columns([vec[j * nn : (j + 1) * nn] for j in range(nm)], rows=nn)
+        for vec in stacked.kernel_basis()
+    ]
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -331,10 +280,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     if m.dim == 0:
         return True
     hom = hom_space(m, n)
-    stacked = RatMatrix(
-        n.dim, m.dim * len(hom), [sum((f.data[i] for f in hom), []) for i in range(n.dim)]
-    )
-    if stacked.rank() < n.dim:
+    if RatMatrix.block([hom]).rank() < n.dim:
         return False
     rng = random.Random(0)
     for _ in range(32):
@@ -374,9 +320,9 @@ def _joint_eigenbasis(rep: Representation) -> tuple[Representation, RatMatrix]:
     Raises DecompositionError when the joint kernels do not fill the module.
     """
     n = rep.dim
-    ident = RatMatrix.identity(n)
-    shifted = [(rep.b - ident.scale(beta)).data + (rep.c - ident.scale(gamma)).data for beta, gamma in _WEIGHTS]
-    spaces = [RatMatrix(2 * n, n, rows).kernel_basis() for rows in shifted]
+    spaces = [
+        RatMatrix.block([[rep.b.shift(-beta)], [rep.c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS
+    ]
     dims = [len(space) for space in spaces]
     if sum(dims) != n:
         raise DecompositionError(
@@ -405,37 +351,29 @@ def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix
     as many as its entries outside them.
     """
     n = rep.dim
-    groups = [[i for i in range(n) if (rep.b.data[i][i], rep.c.data[i][i]) == w] for w in _WEIGHTS]
-    if sum(map(len, groups)) != n or _zeros(rep.b.data) + _zeros(rep.c.data) != 2 * n * (n - 1):
+    weights = list(zip(rep.b.diagonal_entries(), rep.c.diagonal_entries()))
+    groups = [[i for i, x in enumerate(weights) if x == w] for w in _WEIGHTS]
+    if sum(map(len, groups)) != n or rep.b.zero_count() + rep.c.zero_count() != 2 * n * (n - 1):
         rewritten, pmat = _joint_eigenbasis(rep)
         plus, minus, basis = _weight_split(rewritten)
         return plus, minus, [pmat @ m for m in basis]
-    # the entries of a row at a weight's columns
-    picks = [
-        itemgetter(*cols) if len(cols) > 1 else lambda row, cols=cols: [row[j] for j in cols]
-        for cols in groups
-    ]
     blocks = []
-    for name, rows in (("a", rep.a.data), ("d", rep.d.data)):
-        block = []
-        for w, cols in enumerate(groups):
-            src = map(rows.__getitem__, groups[w ^ 1])
-            block.append(RatMatrix(len(groups[w ^ 1]), len(cols), list(map(list, map(picks[w], src)))))
-        if _zeros(rows) - sum(_zeros(m.data) for m in block) != n * n - sum(m.rows * m.cols for m in block):
-            _raise_outside_flipped_weight(name, rows, groups)
+    for name, x in (("a", rep.a), ("d", rep.d)):
+        block = [x.take(groups[w ^ 1], cols) for w, cols in enumerate(groups)]
+        if x.zero_count() - sum(m.zero_count() for m in block) != n * n - sum(m.rows * m.cols for m in block):
+            _raise_outside_flipped_weight(name, x, groups)
         blocks.append(block)
     a, d = blocks
-    basis = [RatMatrix.zeros(n, len(group)) for group in groups]
-    for m, group in zip(basis, groups):
-        for j, i in enumerate(group):
-            m.data[i][j] = _ONE
+    basis = [RatMatrix.from_entries(n, len(group), dict.fromkeys(zip(group, count()), Fraction(1))) for group in groups]
     return _Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), basis
 
 
-def _raise_outside_flipped_weight(name: str, rows: list[list[Fraction]], groups: list[list[int]]):
-    """Name the least weight whose part the generator's rows send outside its negative."""
+def _raise_outside_flipped_weight(name: str, gen: RatMatrix, groups: list[list[int]]):
+    """Name the least weight whose part the generator sends outside its negative."""
     weight = {i: w for w, group in enumerate(groups) for i in group}
-    kept = [weight[j] for i, row in enumerate(rows) for j, x in enumerate(row) if x and weight[i] != weight[j] ^ 1]
+    kept = [
+        weight[j] for j, col in enumerate(gen.columns()) for i, x in enumerate(col) if x and weight[i] != weight[j] ^ 1
+    ]
     raise DecompositionError(
         f"{name} does not send each (b, c) weight to its negative: "
         f"it sends part of weight {_WEIGHTS[min(kept)]} outside weight {_WEIGHTS[min(kept) ^ 1]}"
@@ -487,7 +425,7 @@ def socle_basis(rep: Representation) -> list[list[Fraction]]:
     plus, _, basis = _weight_split(rep)
     out = basis[2].columns() + basis[3].columns()
     for p, (a, d) in enumerate(zip(plus.a, plus.d)):
-        out += _embed(basis[p], RatMatrix(2 * a.rows, a.cols, a.data + d.data).kernel_basis())
+        out += _embed(basis[p], RatMatrix.block([[a], [d]]).kernel_basis())
     return out
 
 
@@ -630,15 +568,13 @@ def _charpoly(mat: RatMatrix) -> list[Fraction]:
     coefficient of x^(m-k) is c_k = -tr(mat N_k) / k, and
     N_(k+1) = mat N_k + c_k I.  Exact over Q, from matrix products and traces alone.
     """
-    m = mat.rows
-    poly = [_ONE]
-    n = RatMatrix.identity(m)
-    for k in range(1, m + 1):
+    poly = [Fraction(1)]
+    n = RatMatrix.identity(mat.rows)
+    for k in range(1, mat.rows + 1):
         n = mat @ n
-        c = -sum(n.data[i][i] for i in range(m)) / k
+        c = -sum(n.diagonal_entries()) / k
         poly.append(c)
-        for i in range(m):
-            n.data[i][i] += c
+        n = n.shift(c)
     return poly[::-1]
 
 
@@ -746,7 +682,7 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     blocks: list[tuple[Fraction, list[int]]] = []
     total = 0
     for theta in sorted(roots):
-        shifted = phi - ident.scale(theta)
+        shifted = phi.shift(-theta)
         kdims = [0]
         power = ident
         while True:
@@ -849,15 +785,13 @@ def _two_dim_labels(part: _Graded) -> list[Label]:
     side p counts the V(2, p) summands, and the two sides balance.
     """
     for p in (0, 1):
-        n, m = part.dims[p], part.dims[1 - p]
+        n = part.dims[p]
         a, d = part.a[1 - p], part.d[1 - p]
         for relation, x, y in (("a^2 = 0", a, part.a[p]), ("d^2 = 0", d, part.d[p])):
             if not (x @ y).is_zero():
                 raise DecompositionError(f"{relation} fails on side {p} of the bc = -1 part")
         # da + ad as one product: (d | a) times (a over d) on side p
-        da_ad = RatMatrix(n, 2 * m, [x + y for x, y in zip(d.data, a.data)]) @ RatMatrix(
-            2 * m, n, part.a[p].data + part.d[p].data
-        )
+        da_ad = RatMatrix.block([[d, a]]) @ RatMatrix.block([[part.a[p]], [part.d[p]]])
         if da_ad != RatMatrix.diagonal([2] * n):
             raise DecompositionError(f"da + ad = 2 fails on side {p} of the bc = -1 part")
     return [simple_two(0)] * part.a[0].rank() + [simple_two(1)] * part.a[1].rank()
@@ -888,12 +822,6 @@ def _ll2_labels(part: _Graded) -> list[Label]:
     return labels
 
 
-def _unit(n: int, j: int) -> list[Fraction]:
-    v = [_ZERO] * n
-    v[j] = _ONE
-    return v
-
-
 def _one_dim_type_labels(part: _Graded) -> list[Label]:
     """Labels of the bc = +1 part: the projectives, split off first, then the rest.
 
@@ -907,7 +835,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [m.rref()[1] for m in sq]
     span = [
-        [_unit(part.dims[p], j) for j in tops[p]]
+        RatMatrix.from_entries(part.dims[p], len(tops[p]), dict.fromkeys(zip(tops[p], count()), Fraction(1))).columns()
         + [sq[p].column(j) for j in tops[p]]
         + [x[1 - p].column(j) for x in part for j in tops[1 - p]]
         for p in (0, 1)
@@ -985,10 +913,9 @@ def braiding_check(m: Representation, n: Representation) -> bool:
     """Whether flip . R is an invertible intertwiner M(x)N -> N(x)M."""
     nm, nn = m.dim, n.dim
     rmat = r_matrix_action(m, n)
-    flip = RatMatrix.zeros(nm * nn, nm * nn)
-    for i in range(nm):
-        for j in range(nn):
-            flip.data[j * nm + i][i * nn + j] = Fraction(1)
+    flip = RatMatrix.from_entries(
+        nm * nn, nm * nn, dict.fromkeys(((j * nm + i, i * nn + j) for i in range(nm) for j in range(nn)), Fraction(1))
+    )
     f = flip @ rmat
     mn = tensor(m, n)
     nmr = tensor(n, m)

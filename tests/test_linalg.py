@@ -52,20 +52,20 @@ def test_kernel_line():
 
 def test_solve_identity():
     b = [Fraction(3), Fraction(-1)]
-    assert RatMatrix.identity(2).solve(b) == b
+    assert RatMatrix.identity(2).solve_matrix(RatMatrix.from_columns([b])).column(0) == b
 
 
 def test_solve_inconsistent():
-    assert RatMatrix.from_rows([[1, 0], [1, 0]]).solve([1, 2]) is None
+    assert RatMatrix.from_rows([[1, 0], [1, 0]]).solve_matrix(RatMatrix.from_columns([[1, 2]])) is None
 
 
 def test_solve_scalar():
-    assert RatMatrix.from_rows([[2]]).solve([1]) == [Fraction(1, 2)]
+    assert RatMatrix.from_rows([[2]]).solve_matrix(RatMatrix.from_columns([[1]])).column(0) == [Fraction(1, 2)]
 
 
 def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        RatMatrix.identity(2).solve([1, 2, 3])
+    with pytest.raises(ValueError, match="right-hand side row mismatch"):
+        RatMatrix.identity(2).solve_matrix(RatMatrix.from_columns([[1, 2, 3]]))
 
 
 def test_kron_identities():
@@ -129,6 +129,25 @@ def test_from_columns_rejects_ragged_columns():
         RatMatrix.from_columns([[1], [2]], rows=2)
     assert RatMatrix.from_columns([], rows=2) == RatMatrix(2, 0, [[], []])
     assert RatMatrix.from_columns([[1, 2], [3, 4]]) == RatMatrix.from_rows([[1, 3], [2, 4]])
+    one = RatMatrix.identity(1)
+    with pytest.raises(ValueError, match="ragged block grid"):
+        RatMatrix.block([[one, None], [one]])
+    with pytest.raises(ValueError, match="differ in size"):
+        RatMatrix.block([[one, RatMatrix.identity(2)]])
+    with pytest.raises(ValueError, match="differ in size"):
+        RatMatrix.block([[one], [RatMatrix.zeros(1, 2)]])
+    for key in ((2, 0), (0, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="outside a 2x2 matrix"):
+            RatMatrix.from_entries(2, 2, {key: 1})
+    for rows, cols in (([2], [0]), ([0], [-1])):
+        with pytest.raises(ValueError, match="index outside a 2x2 matrix"):
+            RatMatrix.identity(2).take(rows, cols)
+    with pytest.raises(ValueError, match="non-square"):
+        RatMatrix.zeros(1, 2).shift(1)
+    with pytest.raises(ValueError, match="kron_plus"):
+        RatMatrix.zeros(1, 2).kron_plus(one, one)
+    with pytest.raises(ValueError, match="kron_plus"):
+        one.kron_plus(one, RatMatrix.identity(2))
 
 
 def test_int_inputs_give_fraction_entries():
@@ -162,6 +181,8 @@ def test_zero_rule_changes_no_result(m, data):
 
     def results(a: RatMatrix) -> list:
         t = a.transpose()
+        # negated, so that every zero of a comes in as a fresh Fraction(0)
+        entries = {(i, j): -x for i, row in enumerate(a.data) for j, x in enumerate(row)}
         out = [
             a.rref(),
             a.kernel_basis(),
@@ -175,6 +196,14 @@ def test_zero_rule_changes_no_result(m, data):
             # one left row reaches only the rows of a at its nonzeros
             RatMatrix(1, a.rows, t.data[:1]) @ a,
             quotient_maps(a.data, a.cols),
+            RatMatrix.block([[a, a], [None, a]]),
+            a.take(range(a.rows - 1, -1, -1), [0, 0, *range(a.cols)]),
+            (a @ t).shift(-(a @ t).diagonal_entries()[0]),
+            a.zero_count(),
+            a.diagonal_entries(),
+            RatMatrix.from_entries(a.rows, a.cols, entries),
+            (a @ t).kron_plus(a, a),
+            RatMatrix.identity(2).kron_plus(a, -a),
         ]
         if a.is_invertible():
             out.append(a.inverse())
@@ -195,6 +224,39 @@ def test_zero_rule_changes_no_result(m, data):
     assert proj @ lift == RatMatrix.identity(proj.rows)
     assert (proj @ a.transpose()).is_zero()
     assert proj.rows == a.cols - a.rank()
+
+    def naive_kron_plus(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> list[list[Fraction]]:
+        return [
+            [x.data[i][j] * y.data[k][l] + (i == j) * z.data[k][l] for j in range(x.cols) for l in range(y.cols)]
+            for i in range(x.rows)
+            for k in range(y.rows)
+        ]
+
+    square = naive_product(a, a.transpose())
+    block, take, shift, zero_count, diagonal, from_entries, kron_plus, cancelled = shared[11:19]
+    zero = [[0] * a.cols for _ in range(a.rows)]
+    assert block.data == [r + s for r, s in zip(a.data, a.data)] + [r + s for r, s in zip(zero, a.data)]
+    assert take.data == [[row[0], row[0], *row] for row in reversed(a.data)]
+    assert shift.data == [
+        [x - square.data[0][0] if i == j else x for j, x in enumerate(row)] for i, row in enumerate(square.data)
+    ]
+    assert zero_count == sum(x == 0 for row in a.data for x in row)
+    assert diagonal == [a.data[i][i] for i in range(min(a.rows, a.cols))]
+    assert from_entries.data == [[-x for x in row] for row in a.data]
+    assert kron_plus.data == naive_kron_plus(square, a, a)
+    assert cancelled.is_zero()
+    # shift copies the rows of a @ t, whose zeros are the product's, and writes only the diagonal
+    written = [x for m in (block, from_entries, kron_plus, cancelled) for row in m.data for x in row]
+    assert all(x is _ZERO for x in written + shift.diagonal_entries() if x == 0)
+
+
+def test_block_accepts_empty_grids_and_zero_size_blocks():
+    assert RatMatrix.block([]) == RatMatrix.zeros(0, 0)
+    assert RatMatrix.block([[]]) == RatMatrix.zeros(0, 0)
+    assert RatMatrix.block([[RatMatrix.zeros(0, 2)], [RatMatrix.identity(2)]]) == RatMatrix.identity(2)
+    empty = RatMatrix.zeros(0, 0)
+    assert RatMatrix.block([[empty, None], [None, RatMatrix.identity(1)]]) == RatMatrix.identity(1)
+    assert RatMatrix.block([[RatMatrix.zeros(2, 0), RatMatrix.zeros(2, 0)]]) == RatMatrix.zeros(2, 0)
 
 
 def test_quotient_maps():

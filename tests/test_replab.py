@@ -1,6 +1,8 @@
+import ast
 import itertools
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -529,6 +531,22 @@ def test_standard_models_never_reach_the_joint_eigenbasis(monkeypatch):
     assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
 
 
+def test_replab_never_touches_the_row_layout_of_linalg():
+    # replab builds, stacks and cuts matrices through RatMatrix methods, so
+    # the row layout and the zero rule can change inside linalg alone
+    tree = ast.parse(Path(replab.__file__).read_text())
+    data = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "data"]
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert data == [], f"replab reads .data on lines {data}"
+    assert private == [], f"replab imports private names {private} from linalg"
+
+
 def test_projectives_split_off_before_the_pencil(monkeypatch):
     seen = []
     ll2 = replab._ll2_labels
@@ -751,6 +769,22 @@ def test_decompose_rejects_a_bc_minus_one_part_that_breaks_its_relations(a, d, r
     )
     assert not check_relations(rep)
     with pytest.raises(DecompositionError, match=rf"^{relation} fails on side 0 of the bc = -1 part$"):
+        decompose(rep)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=pytest.fail.Exception,
+    reason="the bc = +1 part does not check a^2 = 0, d^2 = 0 and da + ad = 0 (ROADMAP item 2)",
+)
+def test_decompose_rejects_a_bc_plus_one_part_that_breaks_its_relations():
+    # weights (1,1) and (-1,-1): the whole module is the bc = +1 part; ad = E_32, not -da
+    b = RatMatrix.diagonal([1, 1, -1, -1])
+    a = RatMatrix.from_entries(4, 4, {(0, 2): 1, (3, 1): -1})
+    d = RatMatrix.from_entries(4, 4, {(1, 2): -1})
+    rep = Representation(a, b, b, d)
+    assert not check_relations(rep)
+    with pytest.raises(DecompositionError):
         decompose(rep)
 
 
