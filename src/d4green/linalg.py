@@ -9,7 +9,10 @@ entry.
 
 That layout and the zero rule below are private to this module: callers
 build, stack and cut matrices with ``from_rows``, ``from_columns``,
-``from_entries``, ``block`` and ``take``.
+``from_entries``, ``block`` and ``take``.  Inside it, only the methods of
+``RatMatrix`` and the elimination core (``_rref_inplace``, ``_kernel``,
+``_row_nonzeros`` and ``span_basis``, which take raw row lists) read the
+rows; every null space is read off a reduced basis by ``_kernel``.
 
 Zero rule: a zero entry should be the shared object ``_ZERO``, as every
 zero that ``from_entries``, ``block``, ``shift`` and ``kron_plus`` write
@@ -41,7 +44,7 @@ def _fr(x) -> Fraction:
 def _fr_list(v: Iterable) -> list[Fraction]:
     """The entries of v as a new list of Fractions, copied at C speed if they all are."""
     v = list(v)
-    return v if set(map(type, v)) <= {Fraction} else [_fr(x) for x in v]
+    return v if set(map(type, v)) <= {Fraction} else [_fr(x) or _ZERO for x in v]
 
 
 class RatMatrix:
@@ -286,20 +289,7 @@ class RatMatrix:
 
     def kernel_basis(self) -> list[list[Fraction]]:
         """Basis of the right null space, one vector per free column."""
-        data = [row[:] for row in self.data]
-        pivots = _rref_inplace(data, self.cols)
-        pivot_set = set(pivots)
-        free = [j for j in range(self.cols) if j not in pivot_set]
-        basis = []
-        for f in free:
-            v = [_ZERO] * self.cols
-            v[f] = _ONE
-            for i, p in enumerate(pivots):
-                x = data[i][f]
-                if x is not _ZERO and x:
-                    v[p] = -x
-            basis.append(v)
-        return basis
+        return _kernel([row[:] for row in self.data], self.cols)[1]
 
     def solve_matrix(self, rhs: "RatMatrix") -> "RatMatrix | None":
         """Solve self @ X = rhs columnwise; None when any column is inconsistent."""
@@ -402,11 +392,36 @@ def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:
     return pivots
 
 
+def _kernel(data: list[list[Fraction]], cols: int) -> tuple[list[int], list[list[Fraction]]]:
+    """Reduce data in place; returns the free columns and a basis of the null space.
+
+    The vector of free column f is 1 at f and minus the reduced entries of
+    column f at the pivot columns.
+    """
+    # an elimination without rows would still visit every column
+    pivots = _rref_inplace(data, cols) if data else []
+    pivot_set = set(pivots)
+    free = [j for j in range(cols) if j not in pivot_set]
+    basis = []
+    for f in free:
+        v = [_ZERO] * cols
+        v[f] = _ONE
+        for row, p in zip(data, pivots):
+            x = row[f]
+            if x is not _ZERO and x:
+                v[p] = -x
+        basis.append(v)
+    return free, basis
+
+
 # -- subspace helpers ---------------------------------------------------
 #
 # Subspaces of Q^n are passed around as lists of length-n vectors.  The
 # helpers below are the plumbing used to restrict, quotient and pull back
-# module actions.
+# module actions.  Every null space among them comes from _kernel.  They
+# read the rows of no matrix: they build and combine matrices with
+# RatMatrix's constructors and methods (quotient_maps wraps the new rows
+# that _kernel returns).
 
 
 def span_basis(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]:
@@ -419,62 +434,40 @@ def span_basis(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]:
 
 def preimage_basis(m: RatMatrix, span: list[Sequence]) -> list[list[Fraction]]:
     """Basis of { v : m @ v lies in the span of the given vectors }."""
-    aug = RatMatrix(
-        m.rows,
-        m.cols + len(span),
-        [m.data[i][:] + [_fr(span[k][i]) for k in range(len(span))] for i in range(m.rows)],
-    )
-    sols = aug.kernel_basis()
+    sols = RatMatrix.block([[m, RatMatrix.from_columns(span, rows=m.rows)]]).kernel_basis()
     return span_basis([v[: m.cols] for v in sols], m.cols)
 
 
 def annihilator_basis(vectors: list[Sequence], dim: int) -> list[list[Fraction]]:
     """Basis of the functionals (as vectors) vanishing on all given vectors."""
-    if not vectors:
-        return [e for e in RatMatrix.identity(dim).data]
-    return RatMatrix.from_rows(vectors).kernel_basis()
+    return _kernel([_fr_list(v) for v in vectors], dim)[1]
 
 
 def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, RatMatrix]:
     """Projection/lift pair for Q^dim modulo a subspace.
 
     Returns (proj, lift) with proj of shape q x dim, lift of shape dim x q,
-    proj @ lift = identity, and kernel(proj) exactly the subspace.
+    proj @ lift = identity, and kernel(proj) exactly the subspace.  The rows
+    of proj are the annihilator basis of the subspace, one per free column,
+    and lift is the unit columns at those free columns.
     """
-    basis = [_fr_list(v) for v in sub_basis]
-    pivots = _rref_inplace(basis, dim) if basis else []
-    pivot_set = set(pivots)
-    free = [j for j in range(dim) if j not in pivot_set]
-    q = len(free)
-    proj = RatMatrix.zeros(q, dim)
-    for qi, j in enumerate(free):
-        proj.data[qi][j] = _ONE
-        for bi, p in enumerate(pivots):
-            x = basis[bi][j]
-            if x is not _ZERO and x:
-                proj.data[qi][p] = -x
-    lift = RatMatrix.zeros(dim, q)
-    for qi, j in enumerate(free):
-        lift.data[j][qi] = _ONE
-    return proj, lift
+    free, ann = _kernel([_fr_list(v) for v in sub_basis], dim)
+    lift = RatMatrix.from_entries(dim, len(free), {(j, i): _ONE for i, j in enumerate(free)})
+    return RatMatrix(len(ann), dim, ann), lift
 
 
 def restrict_to_invariant(m: RatMatrix, basis: list[Sequence]) -> RatMatrix:
     """Matrix of m on an invariant subspace, in the given basis coordinates."""
-    if not basis:
-        return RatMatrix.zeros(0, 0)
-    bmat = RatMatrix.from_columns(basis)
+    bmat = RatMatrix.from_columns(basis, rows=m.rows)
     sol = bmat.solve_matrix(m @ bmat)
     if sol is None:
         raise ValueError("subspace is not invariant under the map")
     return sol
 
 
-def express_in_basis(vectors: list[Sequence], basis: list[Sequence], dim: int) -> RatMatrix:
-    """Coordinates of each vector in the given basis; raises if outside the span."""
-    bmat = RatMatrix.from_columns(basis, rows=dim)
-    vmat = RatMatrix.from_columns(vectors, rows=dim)
-    sol = bmat.solve_matrix(vmat)
+def express_in_basis(vectors: RatMatrix, basis: list[Sequence]) -> RatMatrix:
+    """Coordinates of each column of vectors in the given basis; raises if outside the span."""
+    sol = RatMatrix.from_columns(basis, rows=vectors.rows).solve_matrix(vectors)
     if sol is None:
         raise ValueError("vector outside the spanning set")
     return sol

@@ -186,10 +186,7 @@ def _build_cached(label: Label) -> Representation:
     if kind is LabelKind.BAND:
         return _band_rep(label.s, label.r, label.eta)
     if kind is LabelKind.SYZYGY:
-        rep = build(simple_one(label.r))
-        for _ in range(label.s):
-            rep = syzygy(rep)
-        return rep
+        return syzygy(build(omega(label.s - 1, label.r)))
     return dual(build(omega(label.s, label.r)))
 
 
@@ -447,15 +444,6 @@ def loewy_length(rep: Representation) -> int:
 # -- projective covers and syzygies -----------------------------------------
 
 
-def _restrict(rep: Representation, basis: list) -> Representation:
-    return Representation(
-        restrict_to_invariant(rep.a, basis),
-        restrict_to_invariant(rep.b, basis),
-        restrict_to_invariant(rep.c, basis),
-        restrict_to_invariant(rep.d, basis),
-    )
-
-
 def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix]:
     """Projective cover and the covering surjection.
 
@@ -507,11 +495,7 @@ def syzygy(rep: Representation) -> Representation:
     """Kernel of the projective cover, as a representation."""
     cover, phi = projective_cover_map(rep)
     kernel = phi.kernel_basis()
-    if not kernel:
-        return Representation(
-            RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 0), RatMatrix.zeros(0, 0)
-        )
-    return _restrict(cover, kernel)
+    return Representation(*(restrict_to_invariant(x, kernel) for x in cover.generators()))
 
 
 def cosyzygy(rep: Representation) -> Representation:
@@ -523,6 +507,17 @@ def cosyzygy(rep: Representation) -> Representation:
 
 class _BadShift(Exception):
     """Internal: the chosen pencil shift hits a band eigenvalue."""
+
+
+def _block_counts(dims: list[int]) -> list[int]:
+    """Block counts from the dimensions 0 = dims[0], dims[1], ... of a chain of kernels.
+
+    Entry s is the number of blocks of size s + 1: the growth of the chain at
+    step s + 1 less its growth at step s + 2.  On a pencil, a shift that hits
+    a band eigenvalue can make it negative.
+    """
+    incs = [y - x for x, y in zip(dims, dims[1:])] + [0]
+    return [x - y for x, y in zip(incs, incs[1:])]
 
 
 def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list, list]:
@@ -542,15 +537,10 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
             break
         k = k2
         dims.append(len(k))
-    incs = [dims[i] - dims[i - 1] for i in range(1, len(dims))]
-    incs.append(0)
-    counts: dict[int, int] = {}
-    for s in range(len(incs) - 1):
-        cnt = incs[s] - incs[s + 1]
-        if cnt < 0:
-            raise _BadShift
-        if cnt:
-            counts[s] = cnt
+    block_counts = _block_counts(dims)
+    if min(block_counts) < 0:
+        raise _BadShift
+    counts = {s: cnt for s, cnt in enumerate(block_counts) if cnt}
     # the loop ends with img = delta(k) for the final k
     t_part, s_part = k, img
     if sum((s + 1) * c for s, c in counts.items()) != len(t_part):
@@ -652,12 +642,13 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
 
     The eigenvalues are found without factoring any integer.  The square-free
     part p / gcd(p, p') of the characteristic polynomial p, with denominators
-    cleared and a simple root at zero split off, is an integer polynomial g
-    of degree n with leading coefficient L.  Substituting y = L x gives the
-    monic h(y) = L^(n-1) g(y / L), whose rational roots are integers; they
-    are isolated by _integer_roots and mapped back to x = y / L.  Each
-    eigenvalue gets its Jordan data from kernel ranks.  Raises when the
-    blocks do not exhaust the space, i.e. some eigenvalue is irrational.
+    cleared, is an integer polynomial g of degree n >= 1 with leading
+    coefficient L.  Substituting y = L x gives the monic
+    h(y) = L^(n-1) g(y / L), whose rational roots are integers; they are
+    isolated by _integer_roots, a root at zero like any other, and mapped
+    back to x = y / L.  Each eigenvalue gets its Jordan data from kernel
+    ranks.  Raises when the blocks do not exhaust the space, i.e. some
+    eigenvalue is irrational.
     """
     m = phi.rows
     if m == 0:
@@ -669,14 +660,9 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     free = _poly_divmod(poly, gcd)[0]
     den = lcm(*[c.denominator for c in free])
     g = [int(c * den) for c in free]
-    roots: set[Fraction] = set()
-    if not g[0]:
-        roots.add(Fraction(0))
-        g = g[1:]
     n, lead = len(g) - 1, g[-1]
-    if n:
-        h = [c * lead ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
-        roots.update(Fraction(y, lead) for y in _integer_roots(h))
+    h = [c * lead ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
+    roots = [Fraction(y, lead) for y in _integer_roots(h)]
 
     ident = RatMatrix.identity(m)
     blocks: list[tuple[Fraction, list[int]]] = []
@@ -693,11 +679,7 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
             kdims.append(kd)
         if len(kdims) == 1:
             continue
-        geq = [kdims[i] - kdims[i - 1] for i in range(1, len(kdims))]
-        geq.append(0)
-        sizes = []
-        for j in range(len(geq) - 1):
-            sizes.extend([j + 1] * (geq[j] - geq[j + 1]))
+        sizes = [s + 1 for s, cnt in enumerate(_block_counts(kdims)) for _ in range(cnt)]
         blocks.append((theta, sizes))
         total += sum(sizes)
     if total != m:
@@ -754,8 +736,8 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
     if m:
         t_reg_mat = RatMatrix.from_columns(t_reg, rows=abar.cols)
         try:
-            a_reg = express_in_basis((abar @ t_reg_mat).columns(), s_reg, abar.rows)
-            d_reg = express_in_basis((dbar @ t_reg_mat).columns(), s_reg, abar.rows)
+            a_reg = express_in_basis(abar @ t_reg_mat, s_reg)
+            d_reg = express_in_basis(dbar @ t_reg_mat, s_reg)
         except ValueError as exc:
             raise _BadShift from exc
         if not a_reg.is_invertible():
@@ -809,8 +791,8 @@ def _ll2_labels(part: _Graded) -> list[Label]:
     for p in (0, 1):
         q = 1 - p
         _, lift = quotient_maps(soc[p], part.dims[p])
-        alpha = express_in_basis((part.a[p] @ lift).columns(), soc[q], part.dims[q])
-        delta = express_in_basis((part.d[p] @ lift).columns(), soc[q], part.dims[q])
+        alpha = express_in_basis(part.a[p] @ lift, soc[q])
+        delta = express_in_basis(part.d[p] @ lift, soc[q])
         up, down, bands = _kronecker_blocks(alpha, delta)
         for s, cnt in up.items():
             lab = simple_one(p) if s == 0 else Label(LabelKind.SYZYGY, (p + s) % 2, s)

@@ -164,6 +164,9 @@ def test_int_inputs_give_fraction_entries():
         m.transpose().kernel_basis(),
     ]
     assert all(type(x) is Fraction for rows_out in outputs for row in rows_out for x in row)
+    # the int 0 of rows comes out as the shared zero
+    assert m.data[0][2] is _ZERO
+    assert RatMatrix.from_columns(rows).data[2][0] is _ZERO
 
 
 def _with_zeros(m: RatMatrix, zero) -> RatMatrix:
@@ -196,6 +199,7 @@ def test_zero_rule_changes_no_result(m, data):
             # one left row reaches only the rows of a at its nonzeros
             RatMatrix(1, a.rows, t.data[:1]) @ a,
             quotient_maps(a.data, a.cols),
+            annihilator_basis(a.data, a.cols),
             RatMatrix.block([[a, a], [None, a]]),
             a.take(range(a.rows - 1, -1, -1), [0, 0, *range(a.cols)]),
             (a @ t).shift(-(a @ t).diagonal_entries()[0]),
@@ -224,6 +228,8 @@ def test_zero_rule_changes_no_result(m, data):
     assert proj @ lift == RatMatrix.identity(proj.rows)
     assert (proj @ a.transpose()).is_zero()
     assert proj.rows == a.cols - a.rank()
+    # one kernel convention: proj's rows are the annihilator of a's rows and a's kernel basis
+    assert proj.data == shared[11] == shared[1]
 
     def naive_kron_plus(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> list[list[Fraction]]:
         return [
@@ -233,7 +239,7 @@ def test_zero_rule_changes_no_result(m, data):
         ]
 
     square = naive_product(a, a.transpose())
-    block, take, shift, zero_count, diagonal, from_entries, kron_plus, cancelled = shared[11:19]
+    block, take, shift, zero_count, diagonal, from_entries, kron_plus, cancelled = shared[12:20]
     zero = [[0] * a.cols for _ in range(a.rows)]
     assert block.data == [r + s for r, s in zip(a.data, a.data)] + [r + s for r, s in zip(zero, a.data)]
     assert take.data == [[row[0], row[0], *row] for row in reversed(a.data)]
@@ -265,6 +271,7 @@ def test_quotient_maps():
     assert proj.rows == 2 and lift.cols == 2
     assert proj @ lift == RatMatrix.identity(2)
     assert proj.apply(sub[0]) == [Fraction(0), Fraction(0)]
+    assert quotient_maps([], 3) == (RatMatrix.identity(3), RatMatrix.identity(3))
 
 
 def test_preimage_basis():
@@ -282,13 +289,15 @@ def test_span_and_annihilator():
     (f,) = ann
     for v in basis:
         assert sum(a * b for a, b in zip(f, v)) == 0
+    assert annihilator_basis([], 3) == RatMatrix.identity(3).data
 
 
 def test_restrict_and_express():
     m = RatMatrix.from_rows([[2, 0], [0, 3]])
     rest = restrict_to_invariant(m, [[1, 0]])
     assert rest == RatMatrix.from_rows([[2]])
-    coords = express_in_basis([[Fraction(4), Fraction(0)]], [[2, 0]], 2)
+    assert restrict_to_invariant(m, []) == RatMatrix.zeros(0, 0)
+    coords = express_in_basis(RatMatrix.from_columns([[Fraction(4), Fraction(0)]]), [[2, 0]])
     assert coords == RatMatrix.from_rows([[2]])
     with pytest.raises(ValueError):
         restrict_to_invariant(RatMatrix.from_rows([[0, 1], [1, 0]]), [[1, 0]])

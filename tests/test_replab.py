@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rat_matrices
-from d4green import green, replab
+from d4green import green, linalg, replab
 from d4green.green import (
     ETA_INF,
     GreenElement,
@@ -545,6 +545,39 @@ def test_replab_never_touches_the_row_layout_of_linalg():
     ]
     assert data == [], f"replab reads .data on lines {data}"
     assert private == [], f"replab imports private names {private} from linalg"
+
+
+def test_linalg_functions_never_touch_the_row_layout():
+    # outside RatMatrix's methods only the elimination core, which takes raw
+    # row lists, knows the layout; the subspace helpers compose methods
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    readers = sorted(
+        func.name
+        for func in tree.body
+        if isinstance(func, ast.FunctionDef)
+        and any(isinstance(node, ast.Attribute) and node.attr == "data" for node in ast.walk(func))
+    )
+    assert readers == [], f"module-level functions of linalg read .data: {readers}"
+
+
+def test_cold_syzygy_chain_builds_each_syzygy_from_its_predecessor(monkeypatch):
+    calls = []
+    real = replab.syzygy
+
+    def spy(rep):
+        calls.append(rep.dim)
+        return real(rep)
+
+    replab._build_cached.cache_clear()
+    monkeypatch.setattr(replab, "syzygy", spy)
+    try:
+        for s in range(1, 5):
+            build(omega(s, 0))
+            build(omega(-s, 0))
+        # one syzygy per power, each of the cached O^(s-1) V(0) of dimension 2s - 1
+        assert calls == [1, 3, 5, 7]
+    finally:
+        replab._build_cached.cache_clear()
 
 
 def test_projectives_split_off_before_the_pencil(monkeypatch):
