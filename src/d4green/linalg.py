@@ -420,8 +420,8 @@ def _kernel(data: list[list[Fraction]], cols: int) -> tuple[list[int], list[list
 # helpers below are the plumbing used to restrict, quotient and pull back
 # module actions.  Every null space among them comes from _kernel.  They
 # read the rows of no matrix: they build and combine matrices with
-# RatMatrix's constructors and methods (quotient_maps wraps the new rows
-# that _kernel returns).
+# RatMatrix's constructors and methods (quotient_maps wraps the rows that
+# _kernel returns for proj, and returns free columns, not a lift matrix).
 
 
 def span_basis(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]:
@@ -443,17 +443,16 @@ def annihilator_basis(vectors: list[Sequence], dim: int) -> list[list[Fraction]]
     return _kernel([_fr_list(v) for v in vectors], dim)[1]
 
 
-def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, RatMatrix]:
-    """Projection/lift pair for Q^dim modulo a subspace.
+def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, list[int]]:
+    """Projection and complement for Q^dim modulo a subspace.
 
-    Returns (proj, lift) with proj of shape q x dim, lift of shape dim x q,
-    proj @ lift = identity, and kernel(proj) exactly the subspace.  The rows
-    of proj are the annihilator basis of the subspace, one per free column,
-    and lift is the unit columns at those free columns.
+    Returns (proj, free): proj of shape q x dim with kernel(proj) exactly
+    the subspace, and the q free columns, whose unit vectors span a
+    complement.  proj's rows are the annihilator basis of the subspace, one
+    per free column, so proj.take(range(q), free) is the identity.
     """
     free, ann = _kernel([_fr_list(v) for v in sub_basis], dim)
-    lift = RatMatrix.from_entries(dim, len(free), {(j, i): _ONE for i, j in enumerate(free)})
-    return RatMatrix(len(ann), dim, ann), lift
+    return RatMatrix(len(ann), dim, ann), free
 
 
 def restrict_to_invariant(m: RatMatrix, basis: list[Sequence]) -> RatMatrix:

@@ -54,7 +54,6 @@ from .green import (
     label_dimension,
     omega,
     projective,
-    simple_one,
     simple_two,
 )
 from .linalg import (
@@ -274,8 +273,6 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     """
     if m.dim != n.dim:
         return False
-    if m.dim == 0:
-        return True
     hom = hom_space(m, n)
     if RatMatrix.block([hom]).rank() < n.dim:
         return False
@@ -453,8 +450,6 @@ def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix
     by d gives a V(2,r) summand on the columns (w, aw).
     """
     n = rep.dim
-    if n == 0:
-        return rep, RatMatrix.zeros(0, 0)
     plus, minus, basis = _weight_split(rep)
     jm = _radical(plus)
 
@@ -462,15 +457,15 @@ def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix
     columns: list[list[Fraction]] = []
 
     for p in (0, 1):
-        _, u = quotient_maps(jm[p], plus.dims[p])
-        du = plus.d[p] @ u
+        _, top = quotient_maps(jm[p], plus.dims[p])
+        au, du = (x[p].take(range(plus.dims[1 - p]), top) for x in plus)
         images = (
-            basis[p] @ u,
-            basis[1 - p] @ (plus.a[p] @ u),
+            basis[p].take(range(n), top),
+            basis[1 - p] @ au,
             basis[1 - p] @ du,
             basis[p] @ (plus.a[1 - p] @ du),
         )
-        for j in range(u.cols):
+        for j in range(len(top)):
             pieces.append(build(projective(p)))
             columns.extend(m.column(j) for m in images)
 
@@ -526,9 +521,14 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
     Returns (counts, T_part_basis, S_part_basis) where counts[s] is the
     number of (s+1) x s singular blocks; requires a1 to be injective on
     the regular part (guaranteed by a good shift, checked by the caller).
+
+    For any chain, sum (s+1) counts[s] telescopes to the dimension of the
+    last kernel, which is T_part, so only the S_part count is checked:
+    sum s counts[s] is that dimension less dim ker a1, and a shift that
+    hits a band eigenvalue can make it differ from dim delta(T_part).
     """
     dim_t, dim_s = a1.cols, a1.rows
-    k = span_basis(a1.kernel_basis(), dim_t)
+    k = a1.kernel_basis()
     dims = [0, len(k)]
     while True:
         img = span_basis((delta @ RatMatrix.from_columns(k, rows=dim_t)).columns(), dim_s)
@@ -543,8 +543,6 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
     counts = {s: cnt for s, cnt in enumerate(block_counts) if cnt}
     # the loop ends with img = delta(k) for the final k
     t_part, s_part = k, img
-    if sum((s + 1) * c for s, c in counts.items()) != len(t_part):
-        raise _BadShift
     if sum(s * c for s, c in counts.items()) != len(s_part):
         raise _BadShift
     return counts, t_part, s_part
@@ -664,21 +662,19 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     h = [c * lead ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
     roots = [Fraction(y, lead) for y in _integer_roots(h)]
 
-    ident = RatMatrix.identity(m)
     blocks: list[tuple[Fraction, list[int]]] = []
     total = 0
     for theta in sorted(roots):
+        # theta is an eigenvalue, so the first power already has a kernel
         shifted = phi.shift(-theta)
         kdims = [0]
-        power = ident
+        power = shifted
         while True:
-            power = power @ shifted
             kd = m - power.rank()
             if kd == kdims[-1]:
                 break
             kdims.append(kd)
-        if len(kdims) == 1:
-            continue
+            power = power @ shifted
         sizes = [s + 1 for s, cnt in enumerate(_block_counts(kdims)) for _ in range(cnt)]
         blocks.append((theta, sizes))
         total += sum(sizes)
@@ -696,6 +692,11 @@ def _kronecker_blocks(alpha: RatMatrix, delta: RatMatrix):
     Returns (up, down, bands): counts of (s+1) x s blocks by s >= 0,
     counts of u x (u+1) blocks by u >= 1, and a list of (size, Eta) for
     the regular part.
+
+    A shift c is bad only where det(A_reg + c D_reg) = 0.  The m x m
+    regular part is a regular pencil, so that determinant is a nonzero
+    polynomial in c of degree at most m <= rows: at most rows of the
+    2 rows + 5 shifts tried are bad.
     """
     shifts = [Fraction(0)]
     for k in range(1, alpha.rows + 3):
@@ -712,15 +713,13 @@ def _kronecker_blocks(alpha: RatMatrix, delta: RatMatrix):
 
 
 def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
-    dim_t, dim_s = alpha.cols, alpha.rows
     a1 = alpha + delta.scale(c) if c else alpha
 
     up_counts, t_left, s_left = _chain_counts(a1, delta)
 
-    proj_t, lift_t = quotient_maps(t_left, dim_t)
-    proj_s, _ = quotient_maps(s_left, dim_s)
-    abar = proj_s @ a1 @ lift_t
-    dbar = proj_s @ delta @ lift_t
+    _, free_t = quotient_maps(t_left, alpha.cols)
+    proj_s, _ = quotient_maps(s_left, alpha.rows)
+    abar, dbar = (proj_s @ x.take(range(alpha.rows), free_t) for x in (a1, delta))
 
     down_counts, s_right, t_right = _chain_counts(abar.transpose(), dbar.transpose())
     if down_counts.get(0):
@@ -728,8 +727,8 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
 
     t_reg = annihilator_basis(t_right, abar.cols)
     s_reg = annihilator_basis(s_right, abar.rows)
-    m = dim_t - len(t_left) - sum(u * cnt for u, cnt in down_counts.items())
-    if len(t_reg) != m or len(s_reg) != m:
+    m = len(t_reg)
+    if len(s_reg) != m:
         raise _BadShift
 
     bands: list[tuple[int, Eta]] = []
@@ -742,7 +741,7 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
             raise _BadShift from exc
         if not a_reg.is_invertible():
             raise _BadShift
-        phi = a_reg.inverse() @ d_reg
+        phi = a_reg.solve_matrix(d_reg)
         for theta, sizes in _rational_eigen_blocks(phi):
             # theta = -eta/(1 - c*eta); c*theta = 1 marks the infinite point
             if c * theta == 1:
@@ -790,15 +789,13 @@ def _ll2_labels(part: _Graded) -> list[Label]:
     labels: list[Label] = []
     for p in (0, 1):
         q = 1 - p
-        _, lift = quotient_maps(soc[p], part.dims[p])
-        alpha = express_in_basis(part.a[p] @ lift, soc[q])
-        delta = express_in_basis(part.d[p] @ lift, soc[q])
+        _, top = quotient_maps(soc[p], part.dims[p])
+        alpha, delta = (express_in_basis(x[p].take(range(part.dims[q]), top), soc[q]) for x in part)
         up, down, bands = _kronecker_blocks(alpha, delta)
         for s, cnt in up.items():
-            lab = simple_one(p) if s == 0 else Label(LabelKind.SYZYGY, (p + s) % 2, s)
-            labels.extend([lab] * cnt)
+            labels.extend([omega(s, p + s)] * cnt)
         for u, cnt in down.items():
-            labels.extend([Label(LabelKind.COSYZYGY, (p + u + 1) % 2, u)] * cnt)
+            labels.extend([omega(-u, p + u + 1)] * cnt)
         for size, e in bands:
             labels.append(band(size, p + 1, e))
     return labels
@@ -824,7 +821,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     ]
     k0, k1 = map(len, tops)
     summands = f"{k0} P(0) and {k1} P(1) summands"
-    proj, lift = zip(*(quotient_maps(span[p], part.dims[p]) for p in (0, 1)))
+    proj, free = zip(*(quotient_maps(span[p], part.dims[p]) for p in (0, 1)))
     # each P(0) and each P(1) puts two dimensions on each side
     spanned = tuple(part.dims[p] - proj[p].rows for p in (0, 1))
     if spanned != (2 * (k0 + k1),) * 2:
@@ -834,7 +831,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
         cut = [proj[1 - p] @ x[p] for p in (0, 1)]
         if any(not (m @ RatMatrix.from_columns(span[p], rows=part.dims[p])).is_zero() for p, m in enumerate(cut)):
             raise DecompositionError(f"{name} does not keep the span of the {summands}")
-        maps.append((cut[0] @ lift[0], cut[1] @ lift[1]))
+        maps.append(tuple(m.take(range(m.rows), free[p]) for p, m in enumerate(cut)))
     core = _Graded(*maps)
     if any(not (x[1 - p] @ y[p]).is_zero() for x in core for y in core for p in (0, 1)):
         raise DecompositionError(
@@ -894,11 +891,8 @@ def r_matrix_action(m: Representation, n: Representation) -> RatMatrix:
 def braiding_check(m: Representation, n: Representation) -> bool:
     """Whether flip . R is an invertible intertwiner M(x)N -> N(x)M."""
     nm, nn = m.dim, n.dim
-    rmat = r_matrix_action(m, n)
-    flip = RatMatrix.from_entries(
-        nm * nn, nm * nn, dict.fromkeys(((j * nm + i, i * nn + j) for i in range(nm) for j in range(nn)), Fraction(1))
-    )
-    f = flip @ rmat
+    # the flip sends row i*nn + j of R to row j*nm + i
+    f = r_matrix_action(m, n).take([i * nn + j for j in range(nn) for i in range(nm)], range(nm * nn))
     mn = tensor(m, n)
     nmr = tensor(n, m)
     if not f.is_invertible():

@@ -224,8 +224,8 @@ def test_zero_rule_changes_no_result(m, data):
     assert shared[2] == naive_product(a, a.transpose())
     assert shared[8] == all(x == 0 for row in a.data for x in row)
     assert shared[9] == naive_product(RatMatrix(1, a.rows, [a.column(0)]), a)
-    proj, lift = shared[10]
-    assert proj @ lift == RatMatrix.identity(proj.rows)
+    proj, free = shared[10]
+    assert proj.take(range(proj.rows), free) == RatMatrix.identity(proj.rows)
     assert (proj @ a.transpose()).is_zero()
     assert proj.rows == a.cols - a.rank()
     # one kernel convention: proj's rows are the annihilator of a's rows and a's kernel basis
@@ -267,11 +267,12 @@ def test_block_accepts_empty_grids_and_zero_size_blocks():
 
 def test_quotient_maps():
     sub = [[Fraction(1), Fraction(1), Fraction(0)]]
-    proj, lift = quotient_maps(sub, 3)
-    assert proj.rows == 2 and lift.cols == 2
-    assert proj @ lift == RatMatrix.identity(2)
+    proj, free = quotient_maps(sub, 3)
+    assert proj.rows == 2 and len(free) == 2
+    assert free == [1, 2]
+    assert proj.take(range(proj.rows), free) == RatMatrix.identity(2)
     assert proj.apply(sub[0]) == [Fraction(0), Fraction(0)]
-    assert quotient_maps([], 3) == (RatMatrix.identity(3), RatMatrix.identity(3))
+    assert quotient_maps([], 3) == (RatMatrix.identity(3), [0, 1, 2])
 
 
 def test_preimage_basis():

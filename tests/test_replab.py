@@ -150,6 +150,8 @@ def test_double_dual(label):
 def test_direct_sum():
     empty = direct_sum([])
     assert empty.dim == 0
+    assert is_isomorphic(empty, empty)
+    assert projective_cover_map(empty) == (empty, RatMatrix.zeros(0, 0))
     two = direct_sum([build(simple_one(0)), build(simple_one(1))])
     assert two.b == RatMatrix.diagonal([1, -1])
     doubled = direct_sum([build(projective(0)), build(projective(0))])
@@ -560,6 +562,27 @@ def test_linalg_functions_never_touch_the_row_layout():
     assert readers == [], f"module-level functions of linalg read .data: {readers}"
 
 
+@pytest.mark.parametrize("path", sorted(Path(replab.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_package_imports_no_unused_name(path):
+    # no linter runs on the package, so a name a deletion leaves imported is caught here
+    tree = ast.parse(path.read_text())
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    unused = [name for name in imported if name not in read | exported]
+    assert unused == [], f"{path.name} imports {unused} and never reads them"
+
+
 def test_cold_syzygy_chain_builds_each_syzygy_from_its_predecessor(monkeypatch):
     calls = []
     real = replab.syzygy
@@ -774,6 +797,16 @@ def test_decompose_names_the_pencil_no_shift_separates(monkeypatch):
     monkeypatch.setattr(replab, "_kronecker_with_shift", bad_shift)
     with pytest.raises(DecompositionError, match=r"2 x 2 pencil: 9 shifts tried"):
         decompose(build(band(2, 1, '5/7')))
+
+
+@given(st.lists(st.integers(0, 30), min_size=1, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_block_counts_telescope(tail):
+    # the pencil checks only the second sum: the first holds for any chain of kernels
+    dims = [0, *tail]
+    counts = replab._block_counts(dims)
+    assert sum((s + 1) * c for s, c in enumerate(counts)) == dims[-1]
+    assert sum(s * c for s, c in enumerate(counts)) == dims[-1] - dims[1]
 
 
 def test_decompose_rejects_non_module():
