@@ -16,10 +16,11 @@ The decomposition works on the (b, c) weight spaces:
 
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
    (-β, -γ).  :func:`_weight_split` reads the weights off the diagonals of
-   b and c and cuts a and d into blocks between paired weight spaces; it
-   computes joint eigenvectors only for modules in other bases.  Weights
-   (1,-1) and (-1,1) make up the bc = -1 part.  Once its relations a^2 = 0,
-   d^2 = 0 and da + ad = 2 are checked, it is a semisimple pile of
+   b and c and cuts a and d into blocks between paired weight spaces.  Every
+   standard model has diagonal b and c (strings are closed-form zigzags, built
+   like the bands), so joint eigenvectors are computed only in other bases.
+   Weights (1,-1) and (-1,1) make up the bc = -1 part.  Once its relations
+   a^2 = 0, d^2 = 0 and da + ad = 2 are checked, it is a semisimple pile of
    two-dimensional simples counted by the ranks of its a blocks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
@@ -128,13 +129,6 @@ R_MATRIX = RMatrixElement(
 # -- construction of the standard models ---------------------------------
 
 
-def _simple_one_rep(r: int) -> Representation:
-    sign = 1 if r == 0 else -1
-    z = RatMatrix.zeros(1, 1)
-    s = RatMatrix.from_rows([[sign]])
-    return Representation(z, s, s, z)
-
-
 def _simple_two_rep(r: int) -> Representation:
     e = 1 if r == 0 else -1
     a = RatMatrix.from_rows([[0, 0], [1, 0]])
@@ -168,6 +162,20 @@ def _band_rep(s: int, r: int, e: Eta) -> Representation:
     return Representation(a, b, b.copy(), d)
 
 
+def _string_rep(s: int, r: int) -> Representation:
+    """O^s V(r), s in Z: a zigzag on 2|s| + 1 vectors with b = c = diag((-1)^(s+r+i)).  The arrow between
+    vectors i and i + 1 is d for even i and a for odd i, with coefficient 1, from the top end to the socle
+    end; the tops are the even vectors for s >= 0 and the odd ones for s < 0."""
+    n = 2 * abs(s) + 1
+    arrows = ({}, {})  # d, a
+    for i in range(n - 1):
+        top, socle = (i, i + 1) if i % 2 == (s < 0) else (i + 1, i)
+        arrows[i % 2][socle, top] = 1
+    d, a = (RatMatrix.from_entries(n, n, arrow) for arrow in arrows)
+    b = RatMatrix.diagonal([1 - 2 * ((s + r + i) % 2) for i in range(n)])
+    return Representation(a, b, b.copy(), d)
+
+
 def build(label: Label) -> Representation:
     """Standard representation of a label; cached, treat as immutable."""
     return _build_cached(label)
@@ -176,17 +184,13 @@ def build(label: Label) -> Representation:
 @lru_cache(maxsize=None)
 def _build_cached(label: Label) -> Representation:
     kind = label.kind
-    if kind is LabelKind.SIMPLE_ONE:
-        return _simple_one_rep(label.r)
     if kind is LabelKind.SIMPLE_TWO:
         return _simple_two_rep(label.r)
     if kind is LabelKind.PROJECTIVE:
         return _projective_rep(label.r)
     if kind is LabelKind.BAND:
         return _band_rep(label.s, label.r, label.eta)
-    if kind is LabelKind.SYZYGY:
-        return syzygy(build(omega(label.s - 1, label.r)))
-    return dual(build(omega(label.s, label.r)))
+    return _string_rep(-label.s if kind is LabelKind.COSYZYGY else label.s, label.r)
 
 
 def check_relations(rep: Representation) -> bool:
@@ -491,10 +495,6 @@ def syzygy(rep: Representation) -> Representation:
     cover, phi = projective_cover_map(rep)
     kernel = phi.kernel_basis()
     return Representation(*(restrict_to_invariant(x, kernel) for x in cover.generators()))
-
-
-def cosyzygy(rep: Representation) -> Representation:
-    return dual(syzygy(dual(rep)))
 
 
 # -- Kronecker pencil machinery ---------------------------------------------

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rat_matrices
+from conftest import ETA_POOL, rat_matrices
 from d4green import green, linalg, replab
 from d4green.green import (
     ETA_INF,
     GreenElement,
+    LabelKind,
     band,
     dual_label,
     eta,
@@ -30,7 +31,6 @@ from d4green.replab import (
     braiding_check,
     build,
     check_relations,
-    cosyzygy,
     decompose,
     direct_sum,
     dual,
@@ -237,13 +237,13 @@ def test_radical_of_projective_simple_is_zero():
 
 def test_syzygy_parity_facts():
     for r in (0, 1):
-        for s in (1, 2, 3):
+        for s in range(-3, 4):
             rep = build(omega(s, r))
             soc = socle_basis(rep)
             jm = radical_basis(rep)
-            assert len(soc) == s
-            assert rep.dim - len(jm) == s + 1
-            sign = (-1) ** r if s % 2 else (-1) ** (r + 1)
+            assert len(soc) == abs(s) + (s <= 0)
+            assert rep.dim - len(jm) == abs(s) + (s >= 0)
+            sign = (-1) ** ((s + r + (s > 0)) % 2)
             smat = RatMatrix.from_columns(soc, rows=rep.dim)
             assert rep.b @ smat == smat.scale(sign)
 
@@ -280,7 +280,7 @@ def test_syzygy_anchors():
     assert is_isomorphic(syzygy(build(simple_one(0))), build(omega(1, 0)))
     assert syzygy(build(projective(0))).dim == 0
     assert syzygy(build(simple_two(1))).dim == 0
-    assert is_isomorphic(cosyzygy(build(band(2, 1, eta(2)))), build(band(2, 0, eta(2))))
+    assert is_isomorphic(dual(syzygy(dual(build(band(2, 1, eta(2)))))), build(band(2, 0, eta(2))))
     for s in (1, 2):
         for r in (0, 1):
             assert is_isomorphic(syzygy(build(omega(s, r))), build(omega(s + 1, r)))
@@ -289,7 +289,47 @@ def test_syzygy_anchors():
 @pytest.mark.parametrize("label", [simple_one(0), omega(1, 1), omega(-2, 0), band(2, 0, '5/7')])
 def test_cosyzygy_inverts_syzygy(label):
     rep = build(label)
-    assert is_isomorphic(cosyzygy(syzygy(rep)), rep)
+    assert is_isomorphic(dual(syzygy(dual(syzygy(rep)))), rep)
+
+
+def _omega_label(label, k):
+    """Omega^k of a non-projective label, k = 1 or -1: O^s V(r) -> O^(s+k) V(r), M_s(r, eta) -> M_s(r+1, eta)."""
+    if label.kind is LabelKind.BAND:
+        return band(label.s, label.r + 1, label.eta)
+    return omega((-label.s if label.kind is LabelKind.COSYZYGY else label.s) + k, label.r)
+
+
+def _non_projective(labels):
+    return [l for l in labels if l.kind not in (LabelKind.SIMPLE_TWO, LabelKind.PROJECTIVE)]
+
+
+def test_syzygy_of_each_string_is_the_next_string():
+    # syzygy reaches O^(s+1) V(r) through covers, kernels and restrictions in
+    # linalg; build writes the same module down as a zigzag
+    for s in range(-3, 4):
+        for r in (0, 1):
+            assert is_isomorphic(syzygy(build(omega(s, r))), build(omega(s + 1, r)))
+
+
+def test_syzygy_and_cosyzygy_shift_every_label():
+    labels = _non_projective(grid_labels(3, (eta(0), eta('5/7'), ETA_INF)))
+    assert len(labels) == 32
+    for label in labels:
+        assert decompose(syzygy(build(label))) == [_omega_label(label, 1)]
+        assert decompose(dual(syzygy(dual(build(label))))) == [_omega_label(label, -1)]
+
+
+def test_table_tensors_with_omega_one_shift_every_label():
+    # up to projective summands, O^1 V(0) (x) L is Omega(L) and O^-1 V(0) (x) L is
+    # Omega^-1(L); the table side only, so C16 and C17 are checked without decompose
+    def stable(element):
+        return _non_projective(expand(element))
+
+    labels = _non_projective(grid_labels(4, ETA_POOL))
+    assert len(labels) == 58
+    for label in labels:
+        assert stable(mul_labels(omega(1, 0), label)) == [_omega_label(label, 1)]
+        assert stable(mul_labels(omega(-1, 0), label)) == [_omega_label(label, -1)]
 
 
 # -- band parameters ---------------------------------------------------------------
@@ -583,24 +623,42 @@ def test_package_imports_no_unused_name(path):
     assert unused == [], f"{path.name} imports {unused} and never reads them"
 
 
-def test_cold_syzygy_chain_builds_each_syzygy_from_its_predecessor(monkeypatch):
-    calls = []
-    real = replab.syzygy
+def test_package_defines_no_unread_private_name():
+    # a private helper that a deletion leaves without a reader is caught here
+    trees = [ast.parse(path.read_text()) for path in Path(replab.__file__).parent.glob("*.py")]
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
 
-    def spy(rep):
-        calls.append(rep.dim)
-        return real(rep)
+    def module_level(tree):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield node.name
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                yield from (t.id for t in ast.walk(node) if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store))
 
+    private = {name for tree in trees for name in module_level(tree) if name.startswith("_") and not name.startswith("__")}
+    unread = sorted(private - read)
+    assert private and unread == [], f"private names defined and never read: {unread}"
+
+
+def test_build_runs_no_elimination(monkeypatch):
+    # every label's model is written down: no kernel, rank or syzygy behind it
+    def eliminate(*args):
+        raise AssertionError("build ran an elimination")
+
+    monkeypatch.setattr(linalg, "_rref_inplace", eliminate)
+    monkeypatch.setattr(replab, "syzygy", eliminate)
     replab._build_cached.cache_clear()
-    monkeypatch.setattr(replab, "syzygy", spy)
     try:
-        for s in range(1, 5):
-            build(omega(s, 0))
-            build(omega(-s, 0))
-        # one syzygy per power, each of the cached O^(s-1) V(0) of dimension 2s - 1
-        assert calls == [1, 3, 5, 7]
+        reps = [build(label) for label in grid_labels(8, ETA_POOL)]
     finally:
         replab._build_cached.cache_clear()
+    assert len(reps) == 118
+    assert all(map(check_relations, reps))
 
 
 def test_projectives_split_off_before_the_pencil(monkeypatch):
