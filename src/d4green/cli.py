@@ -7,6 +7,7 @@ Subcommands::
     d4green presentation normal-form "y*z"
     d4green presentation to-modules "X_{2,1/3}"
     d4green presentation from-modules "[O^2V(0)]"
+    d4green presentation normal-form -- "-x"
     d4green verify table --max-s 2 --etas 0,1,oo --seed 7 --jobs 2
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
@@ -101,18 +102,20 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
 
-    p = sub.add_parser("multiply", help="decompose a product of two elements")
+    dash = 'An element that starts with "-" goes after "--", as in: d4green dual -- "-[O^2V(0)]"'
+
+    p = sub.add_parser("multiply", help="decompose a product of two elements", epilog=dash)
     p.add_argument("e1")
     p.add_argument("e2")
     add_format(p)
     p.set_defaults(func=_cmd_multiply)
 
-    p = sub.add_parser("dual", help="dual of an element")
+    p = sub.add_parser("dual", help="dual of an element", epilog=dash)
     p.add_argument("expr")
     add_format(p)
     p.set_defaults(func=_cmd_dual)
 
-    p = sub.add_parser("presentation", help="normal forms and conversions")
+    p = sub.add_parser("presentation", help="normal forms and conversions", epilog=dash)
     p.add_argument("mode", choices=("normal-form", "to-modules", "from-modules"))
     p.add_argument("expr")
     add_format(p)

@@ -60,7 +60,6 @@ from .green import (
 from .linalg import (
     RatMatrix,
     annihilator_basis,
-    express_in_basis,
     preimage_basis,
     quotient_maps,
     restrict_to_invariant,
@@ -508,8 +507,7 @@ def _block_counts(dims: list[int]) -> list[int]:
     """Block counts from the dimensions 0 = dims[0], dims[1], ... of a chain of kernels.
 
     Entry s is the number of blocks of size s + 1: the growth of the chain at
-    step s + 1 less its growth at step s + 2.  On a pencil, a shift that hits
-    a band eigenvalue can make it negative.
+    step s + 1 less its growth at step s + 2.
     """
     incs = [y - x for x, y in zip(dims, dims[1:])] + [0]
     return [x - y for x, y in zip(incs, incs[1:])]
@@ -519,13 +517,15 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
     """Minimal-index staircase of the pencil (a1, delta).
 
     Returns (counts, T_part_basis, S_part_basis) where counts[s] is the
-    number of (s+1) x s singular blocks; requires a1 to be injective on
-    the regular part (guaranteed by a good shift, checked by the caller).
+    number of (s+1) x s singular blocks.  The S_part count is the one test
+    for a shift that hits a band eigenvalue.
 
-    For any chain, sum (s+1) counts[s] telescopes to the dimension of the
-    last kernel, which is T_part, so only the S_part count is checked:
-    sum s counts[s] is that dimension less dim ker a1, and a shift that
-    hits a band eigenvalue can make it differ from dim delta(T_part).
+    In Kronecker form the chain K_(i+1) = a1^-1(delta K_i) is one chain per
+    block: an L_eps block grows by 1 for eps + 1 steps, a Jordan block of
+    size m that the shift hits by 1 for m steps, and no other block grows,
+    so no count is negative.  sum s counts[s] gets eps from an L_eps block,
+    as dim delta(T_part) does, but m - 1 from a hit Jordan block, on which
+    delta is invertible, against m: they differ exactly for a bad shift.
     """
     dim_t, dim_s = a1.cols, a1.rows
     k = a1.kernel_basis()
@@ -537,10 +537,7 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
             break
         k = k2
         dims.append(len(k))
-    block_counts = _block_counts(dims)
-    if min(block_counts) < 0:
-        raise _BadShift
-    counts = {s: cnt for s, cnt in enumerate(block_counts) if cnt}
+    counts = {s: cnt for s, cnt in enumerate(_block_counts(dims)) if cnt}
     # the loop ends with img = delta(k) for the final k
     t_part, s_part = k, img
     if sum(s * c for s, c in counts.items()) != len(s_part):
@@ -649,8 +646,6 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     eigenvalue is irrational.
     """
     m = phi.rows
-    if m == 0:
-        return []
     poly = _charpoly(phi)
     gcd, rem = poly, _derivative(poly)
     while rem:
@@ -713,6 +708,13 @@ def _kronecker_blocks(alpha: RatMatrix, delta: RatMatrix):
 
 
 def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
+    """Block data of the pencil for one shift c; only _chain_counts raises _BadShift.
+
+    After a good shift the annihilators of the down part, t_reg and s_reg,
+    are the band part's m-dimensional domain and codomain, and abar maps
+    t_reg onto s_reg.  The basis of s_reg that quotient_maps returns is 1 at
+    its free columns and 0 at the others, so coordinates are entries there.
+    """
     a1 = alpha + delta.scale(c) if c else alpha
 
     up_counts, t_left, s_left = _chain_counts(a1, delta)
@@ -722,25 +724,15 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
     abar, dbar = (proj_s @ x.take(range(alpha.rows), free_t) for x in (a1, delta))
 
     down_counts, s_right, t_right = _chain_counts(abar.transpose(), dbar.transpose())
-    if down_counts.get(0):
-        raise DecompositionError("socle vectors outside the image of the radical action")
 
     t_reg = annihilator_basis(t_right, abar.cols)
-    s_reg = annihilator_basis(s_right, abar.rows)
+    _, free = quotient_maps(s_right, abar.rows)
     m = len(t_reg)
-    if len(s_reg) != m:
-        raise _BadShift
 
     bands: list[tuple[int, Eta]] = []
     if m:
         t_reg_mat = RatMatrix.from_columns(t_reg, rows=abar.cols)
-        try:
-            a_reg = express_in_basis(abar @ t_reg_mat, s_reg)
-            d_reg = express_in_basis(dbar @ t_reg_mat, s_reg)
-        except ValueError as exc:
-            raise _BadShift from exc
-        if not a_reg.is_invertible():
-            raise _BadShift
+        a_reg, d_reg = ((x @ t_reg_mat).take(free, range(m)) for x in (abar, dbar))
         phi = a_reg.solve_matrix(d_reg)
         for theta, sizes in _rational_eigen_blocks(phi):
             # theta = -eta/(1 - c*eta); c*theta = 1 marks the infinite point
@@ -783,14 +775,16 @@ def _ll2_labels(part: _Graded) -> list[Label]:
 
     a and d map the top of side p into the socle of side 1 - p; the
     Kronecker blocks of that pencil are the summands whose top has
-    b = (-1)^p.
+    b = (-1)^p.  Coordinates in the reduced echelon socle basis are the
+    entries at its pivot columns.  The images of the top span the socle, so
+    there is no u = 0 down block (it would be labelled V(1 - p), rightly).
     """
     soc = _radical(part)
+    tops = [quotient_maps(soc[p], part.dims[p])[1] for p in (0, 1)]
+    pivots = [sorted(set(range(part.dims[p])) - set(tops[p])) for p in (0, 1)]
     labels: list[Label] = []
     for p in (0, 1):
-        q = 1 - p
-        _, top = quotient_maps(soc[p], part.dims[p])
-        alpha, delta = (express_in_basis(x[p].take(range(part.dims[q]), top), soc[q]) for x in part)
+        alpha, delta = (x[p].take(pivots[1 - p], tops[p]) for x in part)
         up, down, bands = _kronecker_blocks(alpha, delta)
         for s, cnt in up.items():
             labels.extend([omega(s, p + s)] * cnt)

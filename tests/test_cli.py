@@ -70,6 +70,14 @@ def test_presentation_to_modules(capsys):
     assert out == "[M_2(0,1/3)]"
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [(["multiply", "--", "-[V(0)]", "[V(0)]"], "-[V(0)]"), (["presentation", "normal-form", "--", "-x"], "-x")],
+)
+def test_elements_with_a_leading_minus_follow_the_separator(capsys, argv, expected):
+    assert run(capsys, *argv)[:2] == (0, expected)
+
+
 def test_normal_form_of_deep_mixed_power(capsys):
     code, out, err = run(capsys, "presentation", "normal-form", "y^1200*z^1200")
     assert (code, err) == (0, "")

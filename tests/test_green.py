@@ -25,6 +25,9 @@ from d4green.green import (
     simple_one,
     simple_two,
 )
+from d4green.verify import grid_labels
+
+PROJECTIVE_KINDS = {LabelKind.PROJECTIVE, LabelKind.SIMPLE_TWO}
 
 
 def el(*terms):
@@ -240,10 +243,9 @@ def test_unit_element(e):
 @settings(max_examples=100)
 def test_projectivity_absorption(label):
     absorbers = [projective(0), projective(1), simple_two(0), simple_two(1)]
-    projective_kinds = {LabelKind.PROJECTIVE, LabelKind.SIMPLE_TWO}
     for p in absorbers:
         result = mul_labels(p, label)
-        assert all(l.kind in projective_kinds for l, _ in result.terms())
+        assert all(l.kind in PROJECTIVE_KINDS for l, _ in result.terms())
 
 
 def test_associativity_exhaustive_small_grid():
@@ -267,3 +269,50 @@ def test_all_cases_reachable():
             grid += [omega(s, r), omega(-s, r)] + [band(s, r, e) for e in etas]
     seen = {case_name(a, b) for a, b in itertools.combinations_with_replacement(grid, 2)}
     assert seen == {f"C{i}" for i in range(1, 20)}
+
+
+# -- the stable Green ring ---------------------------------------------------
+
+
+def _stable(element):
+    """The summands of element other than P(r) and V(2, r), with multiplicity."""
+    return sorted(l for l, c in element.terms() if l.kind not in PROJECTIVE_KINDS for _ in range(c))
+
+
+def _string_power(label):
+    """s with label = O^s V(r), where O^0 V(r) = V(r); None for a band."""
+    return {LabelKind.SIMPLE_ONE: 0, LabelKind.SYZYGY: label.s, LabelKind.COSYZYGY: -label.s}.get(label.kind)
+
+
+def _stable_product(l1, l2):
+    """The stable product: strings form Z x Z/2, act on bands by a residue shift,
+    and bands multiply to M_m(0, eta) + M_m(1, eta) for equal eta."""
+    if _string_power(l1) is None:
+        l1, l2 = l2, l1
+    s, t = _string_power(l1), _string_power(l2)
+    if s is not None and t is not None:
+        return [omega(s + t, l1.r + l2.r)]
+    if s is not None:
+        return [band(l2.s, l1.r + l2.r + s, l2.eta)]
+    if l1.eta != l2.eta:
+        return []
+    m = min(l1.s, l2.s)
+    return [band(m, 0, l1.eta), band(m, 1, l1.eta)]
+
+
+def test_table_follows_the_stable_multiplication():
+    grid = [l for l in grid_labels(4, ETA_POOL) if l.kind not in PROJECTIVE_KINDS]
+    pairs = list(itertools.combinations_with_replacement(grid, 2))
+    assert (len(grid), len(pairs)) == (58, 1711)
+    for l1, l2 in pairs:
+        assert _stable(mul_labels(l1, l2)) == sorted(_stable_product(l1, l2)), (str(l1), str(l2))
+
+
+@pytest.mark.parametrize("e", [eta(0), eta("5/7"), ETA_INF], ids=str)
+def test_band_residue_difference_is_nilpotent(e):
+    # x is nonzero and x^3 = 0, so the Green ring is not reduced; x^2 = 0 only for s = 1
+    for s in range(1, 5):
+        x = el((band(s, 0, e), 1), (band(s, 1, e), -1))
+        square = mul(x, x)
+        assert square == el((projective(0), 2 * s * (s - 1)), (projective(1), -2 * s * (s - 1)))
+        assert not mul(square, x)

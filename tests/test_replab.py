@@ -1,5 +1,6 @@
 import ast
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -182,6 +183,7 @@ def test_is_isomorphic_examples():
     rhs = direct_sum([build(omega(2, 0)), build(projective(0))])
     assert is_isomorphic(lhs, rhs)
     assert not is_isomorphic(build(omega(1, 0)), build(omega(-1, 0)))
+    assert not is_isomorphic(build(simple_one(0)), build(simple_two(0)))
 
 
 def test_is_isomorphic_repeated_summands():
@@ -857,6 +859,69 @@ def test_decompose_names_the_pencil_no_shift_separates(monkeypatch):
         decompose(build(band(2, 1, '5/7')))
 
 
+@st.composite
+def kronecker_pencils(draw):
+    """A pencil (alpha, delta) given as Kronecker blocks in random bases, with its blocks.
+
+    Blocks: L_eps (eps + 1 tops onto eps socle vectors, eps >= 0), its
+    transpose L_u^T (u >= 0; u = 0 is a socle vector outside every image),
+    and Jordan blocks (size, lam), with alpha = I and delta = lam I + N, or
+    alpha = N and delta = I for lam = None, the infinite point.
+    """
+    import random
+
+    ups = draw(st.lists(st.integers(0, 2), max_size=2))
+    downs = draw(st.lists(st.integers(0, 2), max_size=2))
+    lams = [Fraction(x) for x in (0, 1, -1, 2, -2, 3, "1/2", "-1/2", "1/3", "5/7")] + [None]
+    jordans = draw(st.lists(st.tuples(st.integers(1, 2), st.sampled_from(lams)), max_size=3))
+    alpha, delta = {}, {}
+    rows = cols = 0
+    for eps in ups:
+        alpha.update({(rows + i, cols + i): 1 for i in range(eps)})
+        delta.update({(rows + i, cols + i + 1): 1 for i in range(eps)})
+        rows, cols = rows + eps, cols + eps + 1
+    for u in downs:
+        alpha.update({(rows + i, cols + i): 1 for i in range(u)})
+        delta.update({(rows + i + 1, cols + i): 1 for i in range(u)})
+        rows, cols = rows + u + 1, cols + u
+    for m, lam in jordans:
+        ones, nilpotent = ({(rows + i, cols + i + k): 1 for i in range(m - k)} for k in (0, 1))
+        if lam is None:
+            alpha.update(nilpotent)
+            delta.update(ones)
+        else:
+            alpha.update(ones)
+            delta.update({**dict.fromkeys(ones, lam), **nilpotent})
+        rows, cols = rows + m, cols + m
+    rng = random.Random(draw(st.integers(0, 2**16)))
+
+    def basis(n):
+        while True:
+            p = RatMatrix.from_rows([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+            if p.is_invertible():
+                return p
+
+    p, q = basis(rows), basis(cols)
+    pencil = [p @ RatMatrix.from_entries(rows, cols, x) @ q for x in (alpha, delta)]
+    return pencil, ups, downs, jordans
+
+
+@given(kronecker_pencils())
+@settings(max_examples=60, deadline=None)
+def test_pencil_shift_is_bad_exactly_when_it_hits_a_band_eigenvalue(pencil):
+    (alpha, delta), ups, downs, jordans = pencil
+    key = lambda band: (band[0], band[1].sort_key())
+    bands = sorted(((m, ETA_INF if lam is None else eta(-lam)) for m, lam in jordans), key=key)
+    for c in map(Fraction, (0, 1, -1, 2, -2, 3, -3)):
+        if any(c == 0 if lam is None else 1 + c * lam == 0 for _, lam in jordans):
+            with pytest.raises(replab._BadShift):
+                replab._kronecker_with_shift(alpha, delta, c)
+        else:
+            up, down, found = replab._kronecker_with_shift(alpha, delta, c)
+            assert (up, down) == (Counter(ups), Counter(downs))
+            assert sorted(found, key=key) == bands
+
+
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_block_counts_telescope(tail):
@@ -958,4 +1023,10 @@ def test_braiding_examples():
 def test_braiding_check_rejects_the_flip_alone(monkeypatch, l1, l2):
     m, n = build(l1), build(l2)
     monkeypatch.setattr(replab, "r_matrix_action", lambda m, n: RatMatrix.identity(m.dim * n.dim))
+    assert not braiding_check(m, n)
+
+
+def test_braiding_check_rejects_a_singular_flip(monkeypatch):
+    m, n = build(simple_two(0)), build(omega(1, 0))
+    monkeypatch.setattr(replab, "r_matrix_action", lambda m, n: RatMatrix.zeros(m.dim * n.dim, m.dim * n.dim))
     assert not braiding_check(m, n)
