@@ -10,9 +10,9 @@ entry.
 That layout and the zero rule below are private to this module: callers
 build, stack and cut matrices with ``from_rows``, ``from_columns``,
 ``from_entries``, ``block`` and ``take``.  Inside it, only the methods of
-``RatMatrix`` and the elimination core (``_rref_inplace``, ``_kernel``,
-``_row_nonzeros`` and ``span_basis``, which take raw row lists) read the
-rows; every null space is read off a reduced basis by ``_kernel``.
+``RatMatrix`` and the elimination core (``_rref_inplace``, ``_kernel`` and
+``_row_nonzeros``, which take raw row lists) read the rows; every null
+space is read off a reduced basis by ``_kernel``.
 
 Zero rule: a zero entry should be the shared object ``_ZERO``, as every
 zero that ``from_entries``, ``block``, ``shift`` and ``kron_plus`` write
@@ -140,7 +140,7 @@ class RatMatrix:
         return [row[j] for row in self.data]
 
     def columns(self) -> list[list[Fraction]]:
-        return [self.column(j) for j in range(self.cols)]
+        return [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
 
     def diagonal_entries(self) -> list[Fraction]:
         return list(map(list.__getitem__, self.data, range(self.cols)))
@@ -153,8 +153,13 @@ class RatMatrix:
         """The submatrix at the given row and column indices, in their order."""
         if rows and not 0 <= min(rows) <= max(rows) < self.rows or cols and not 0 <= min(cols) <= max(cols) < self.cols:
             raise ValueError(f"index outside a {self.rows}x{self.cols} matrix")
-        pick = itemgetter(*cols) if len(cols) > 1 else lambda row: [row[j] for j in cols]
-        return RatMatrix(len(rows), len(cols), list(map(list, map(pick, map(self.data.__getitem__, rows)))))
+        picked = map(self.data.__getitem__, rows)
+        if len(cols) > 1:
+            data = list(map(list, map(itemgetter(*cols), picked)))
+        else:
+            # itemgetter of one index returns the entry itself, not a tuple
+            data = [list(map(row.__getitem__, cols)) for row in picked]
+        return RatMatrix(len(rows), len(cols), data)
 
     def copy(self) -> "RatMatrix":
         return RatMatrix(self.rows, self.cols, [row[:] for row in self.data])
@@ -237,7 +242,7 @@ class RatMatrix:
         return out
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)])
+        return RatMatrix(self.cols, self.rows, self.columns())
 
     def kron(self, other: "RatMatrix") -> "RatMatrix":
         """Tensor product: entry ((i*rB+k), (j*cB+l)) is self[i,j]*other[k,l]."""
@@ -287,8 +292,8 @@ class RatMatrix:
         data = [row[:] for row in self.data]
         return len(_rref_inplace(data, self.cols))
 
-    def kernel_basis(self) -> list[list[Fraction]]:
-        """Basis of the right null space, one vector per free column."""
+    def kernel_basis(self) -> "RatMatrix":
+        """Basis of the right null space as the columns of a cols x k matrix, one per free column."""
         return _kernel([row[:] for row in self.data], self.cols)[1]
 
     def solve_matrix(self, rhs: "RatMatrix") -> "RatMatrix | None":
@@ -360,6 +365,8 @@ def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:
     nrows = len(data)
     r = 0
     for c in range(cols):
+        if r == nrows:
+            break
         piv = None
         for i in range(r, nrows):
             x = data[i][c]
@@ -387,86 +394,87 @@ def _rref_inplace(data: list[list[Fraction]], cols: int) -> list[int]:
                     row[c] = _ZERO
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
     return pivots
 
 
-def _kernel(data: list[list[Fraction]], cols: int) -> tuple[list[int], list[list[Fraction]]]:
-    """Reduce data in place; returns the free columns and a basis of the null space.
+def _kernel(data: list[list[Fraction]], cols: int) -> tuple[list[int], RatMatrix]:
+    """Reduce data in place; returns the free columns and a cols x q matrix whose columns are a basis of the null space.
 
-    The vector of free column f is 1 at f and minus the reduced entries of
-    column f at the pivot columns.
+    Column i belongs to the i-th free column f: it is 1 at f and minus the
+    reduced entries of column f at the pivot columns.
     """
-    # an elimination without rows would still visit every column
-    pivots = _rref_inplace(data, cols) if data else []
+    pivots = _rref_inplace(data, cols)
     pivot_set = set(pivots)
     free = [j for j in range(cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [_ZERO] * cols
-        v[f] = _ONE
-        for row, p in zip(data, pivots):
+    basis = [[_ZERO] * len(free) for _ in range(cols)]
+    for i, f in enumerate(free):
+        basis[f][i] = _ONE
+    for row, p in zip(data, pivots):
+        out = basis[p]
+        for i, f in enumerate(free):
             x = row[f]
             if x is not _ZERO and x:
-                v[p] = -x
-        basis.append(v)
-    return free, basis
+                out[i] = -x
+    return free, RatMatrix(cols, len(free), basis)
 
 
 # -- subspace helpers ---------------------------------------------------
 #
-# Subspaces of Q^n are passed around as lists of length-n vectors.  The
-# helpers below are the plumbing used to restrict, quotient and pull back
-# module actions.  Every null space among them comes from _kernel.  They
-# read the rows of no matrix: they build and combine matrices with
-# RatMatrix's constructors and methods (quotient_maps wraps the rows that
-# _kernel returns for proj, and returns free columns, not a lift matrix).
+# A subspace of Q^n is an n x k RatMatrix whose columns are a basis; the
+# empty subspace is n x 0, so the shape carries the dimension.  The helpers
+# below are the plumbing used to restrict, quotient and pull back module
+# actions.  Every null space among them comes from _kernel.  They read the
+# rows of no matrix: the columns of a subspace, as columns() lists them, are
+# the rows that the elimination core reduces, and the rest is RatMatrix's
+# methods.
 
 
-def span_basis(vectors: Iterable[Sequence], dim: int) -> list[list[Fraction]]:
-    """Reduced echelon basis of the span of the given vectors."""
-    rows = [_fr_list(v) for v in vectors]
-    if not rows:
-        return []
-    return rows[: len(_rref_inplace(rows, dim))]
+def span_basis(vectors: RatMatrix) -> RatMatrix:
+    """Reduced echelon basis of the column space of vectors."""
+    rows = vectors.columns()
+    rank = len(_rref_inplace(rows, vectors.rows))
+    return RatMatrix(rank, vectors.rows, rows[:rank]).transpose()
 
 
-def preimage_basis(m: RatMatrix, span: list[Sequence]) -> list[list[Fraction]]:
-    """Basis of { v : m @ v lies in the span of the given vectors }."""
-    sols = RatMatrix.block([[m, RatMatrix.from_columns(span, rows=m.rows)]]).kernel_basis()
-    return span_basis([v[: m.cols] for v in sols], m.cols)
+def preimage_basis(m: RatMatrix, span: RatMatrix) -> RatMatrix:
+    """Basis of { v : m @ v lies in the column space of span }.
+
+    The first m.cols coordinates of a null-space basis of (m | span) are
+    independent: a null vector (0, w) has span @ w = 0, so w = 0, as the
+    columns of span are a basis.
+    """
+    sols = RatMatrix.block([[m, span]]).kernel_basis()
+    return sols.take(range(m.cols), range(sols.cols))
 
 
-def annihilator_basis(vectors: list[Sequence], dim: int) -> list[list[Fraction]]:
-    """Basis of the functionals (as vectors) vanishing on all given vectors."""
-    return _kernel([_fr_list(v) for v in vectors], dim)[1]
+def annihilator_basis(sub: RatMatrix) -> RatMatrix:
+    """Basis of the functionals (as columns) vanishing on the columns of sub."""
+    return _kernel(sub.columns(), sub.rows)[1]
 
 
-def quotient_maps(sub_basis: list[Sequence], dim: int) -> tuple[RatMatrix, list[int]]:
-    """Projection and complement for Q^dim modulo a subspace.
+def quotient_maps(sub: RatMatrix) -> tuple[RatMatrix, list[int]]:
+    """Projection and complement for Q^n modulo the column space of sub.
 
-    Returns (proj, free): proj of shape q x dim with kernel(proj) exactly
+    Returns (proj, free): proj of shape q x n with kernel(proj) exactly
     the subspace, and the q free columns, whose unit vectors span a
     complement.  proj's rows are the annihilator basis of the subspace, one
     per free column, so proj.take(range(q), free) is the identity.
     """
-    free, ann = _kernel([_fr_list(v) for v in sub_basis], dim)
-    return RatMatrix(len(ann), dim, ann), free
+    free, ann = _kernel(sub.columns(), sub.rows)
+    return ann.transpose(), free
 
 
-def restrict_to_invariant(m: RatMatrix, basis: list[Sequence]) -> RatMatrix:
-    """Matrix of m on an invariant subspace, in the given basis coordinates."""
-    bmat = RatMatrix.from_columns(basis, rows=m.rows)
-    sol = bmat.solve_matrix(m @ bmat)
+def restrict_to_invariant(m: RatMatrix, basis: RatMatrix) -> RatMatrix:
+    """Matrix of m on an invariant subspace, in the coordinates of its basis columns."""
+    sol = basis.solve_matrix(m @ basis)
     if sol is None:
         raise ValueError("subspace is not invariant under the map")
     return sol
 
 
-def express_in_basis(vectors: RatMatrix, basis: list[Sequence]) -> RatMatrix:
-    """Coordinates of each column of vectors in the given basis; raises if outside the span."""
-    sol = RatMatrix.from_columns(basis, rows=vectors.rows).solve_matrix(vectors)
+def express_in_basis(vectors: RatMatrix, basis: RatMatrix) -> RatMatrix:
+    """Coordinates of each column of vectors in the basis columns; raises if outside their span."""
+    sol = basis.solve_matrix(vectors)
     if sol is None:
         raise ValueError("vector outside the spanning set")
     return sol

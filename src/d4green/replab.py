@@ -256,7 +256,7 @@ def hom_space(m: Representation, n: Representation) -> list[RatMatrix]:
     # column-major unvec: entry (i, j) of F sits at index j*nn + i
     return [
         RatMatrix.from_columns([vec[j * nn : (j + 1) * nn] for j in range(nm)], rows=nn)
-        for vec in stacked.kernel_basis()
+        for vec in stacked.kernel_basis().columns()
     ]
 
 
@@ -320,15 +320,15 @@ def _joint_eigenbasis(rep: Representation) -> tuple[Representation, RatMatrix]:
     spaces = [
         RatMatrix.block([[rep.b.shift(-beta)], [rep.c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS
     ]
-    dims = [len(space) for space in spaces]
+    dims = [space.cols for space in spaces]
     if sum(dims) != n:
         raise DecompositionError(
             "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
             f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
         )
-    pmat = RatMatrix.from_columns([v for space in spaces for v in space], rows=n)
+    pmat = RatMatrix.block([spaces])
     pinv = pmat.inverse()
-    b, c = (RatMatrix.diagonal([w[k] for w, space in zip(_WEIGHTS, spaces) for _ in space]) for k in (0, 1))
+    b, c = (RatMatrix.diagonal([w[k] for w, dim in zip(_WEIGHTS, dims) for _ in range(dim)]) for k in (0, 1))
     return Representation(pinv @ rep.a @ pmat, b, c, pinv @ rep.d @ pmat), pmat
 
 
@@ -377,67 +377,59 @@ def _raise_outside_flipped_weight(name: str, gen: RatMatrix, groups: list[list[i
     )
 
 
-def _embed(basis: RatMatrix, vectors: list) -> list[list[Fraction]]:
-    """Module coordinates of vectors given in the coordinates of a weight basis."""
-    return (basis @ RatMatrix.from_columns(vectors, rows=basis.cols)).columns()
-
-
 # -- radical series ---------------------------------------------------------
 
 
-def _radical(part: _Graded, sub: list | None = None) -> list[list[list[Fraction]]]:
+def _radical(part: _Graded, sub: tuple[RatMatrix, RatMatrix] | None = None) -> list[RatMatrix]:
     """J U = a(U) + d(U) for a graded subspace U of a bc = +1 part.
 
-    U and the result are given side by side, as a basis of each side; U
-    defaults to the whole part.
+    U and the result are pairs of column bases, one per side; U defaults to
+    the whole part.  Side p of JU is spanned by a(U) and d(U) of side 1 - p.
     """
-    out = []
-    for p in (0, 1):
-        gens = (part.a[1 - p], part.d[1 - p])
-        if sub is None:
-            vectors = [col for g in gens for col in g.columns()]
-        else:
-            u = RatMatrix.from_columns(sub[1 - p], rows=part.dims[1 - p])
-            vectors = [col for g in gens for col in (g @ u).columns()]
-        out.append(span_basis(vectors, part.dims[p]))
-    return out
+    return [
+        span_basis(RatMatrix.block([[x[1 - p] if sub is None else x[1 - p] @ sub[1 - p] for x in part]]))
+        for p in (0, 1)
+    ]
 
 
-def radical_basis(rep: Representation) -> list[list[Fraction]]:
-    """Basis of JM.
+def radical_basis(rep: Representation) -> RatMatrix:
+    """Basis of JM, as columns.
 
     The radical ideal is spanned by a and d cut to the bc = +1 part, so JM
     is a(M+) + d(M+), graded by the b eigenvalue.
     """
     plus, _, basis = _weight_split(rep)
-    return [v for p, side in enumerate(_radical(plus)) for v in _embed(basis[p], side)]
+    return RatMatrix.block([[basis[p] @ side for p, side in enumerate(_radical(plus))]])
 
 
-def socle_basis(rep: Representation) -> list[list[Fraction]]:
-    """Basis of the socle, the joint kernel of the radical action.
+def socle_basis(rep: Representation) -> RatMatrix:
+    """Basis of the socle, the joint kernel of the radical action, as columns.
 
     The radical kills the bc = -1 part, and on side p of the bc = +1 part
     the socle is the joint kernel of a[p] and d[p].
     """
     plus, _, basis = _weight_split(rep)
-    out = basis[2].columns() + basis[3].columns()
-    for p, (a, d) in enumerate(zip(plus.a, plus.d)):
-        out += _embed(basis[p], RatMatrix.block([[a], [d]]).kernel_basis())
-    return out
+    sides = [basis[p] @ RatMatrix.block([[a], [d]]).kernel_basis() for p, (a, d) in enumerate(zip(plus.a, plus.d))]
+    return RatMatrix.block([[basis[2], basis[3], *sides]])
 
 
 def loewy_length(rep: Representation) -> int:
-    """Least k with J^k M = 0 (at most 3 for genuine modules)."""
+    """Least k with J^k M = 0 (at most 3 for genuine modules).
+
+    J^(k+1) M lies in J^k M on each side, so a nonzero layer that does not
+    shrink is J^k M for every later k, and the series never ends.
+    """
     if rep.dim == 0:
         return 0
     plus, _, _ = _weight_split(rep)
     layer = _radical(plus)
     k = 1
-    while any(layer):
-        layer = _radical(plus, layer)
-        k += 1
-        if k > rep.dim + 1:
+    while any(side.cols for side in layer):
+        below = _radical(plus, layer)
+        if [side.cols for side in below] == [side.cols for side in layer]:
             raise DecompositionError("radical series does not terminate")
+        layer = below
+        k += 1
     return k
 
 
@@ -460,7 +452,7 @@ def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix
     columns: list[list[Fraction]] = []
 
     for p in (0, 1):
-        _, top = quotient_maps(jm[p], plus.dims[p])
+        _, top = quotient_maps(jm[p])
         au, du = (x[p].take(range(plus.dims[1 - p]), top) for x in plus)
         images = (
             basis[p].take(range(n), top),
@@ -473,7 +465,7 @@ def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix
             columns.extend(m.column(j) for m in images)
 
     for r in (0, 1):
-        w = RatMatrix.from_columns(minus.d[r].kernel_basis(), rows=minus.dims[r])
+        w = minus.d[r].kernel_basis()
         images = (basis[2 + r] @ w, basis[3 - r] @ (minus.a[r] @ w))
         for j in range(w.cols):
             pieces.append(build(simple_two(r)))
@@ -513,7 +505,7 @@ def _block_counts(dims: list[int]) -> list[int]:
     return [x - y for x, y in zip(incs, incs[1:])]
 
 
-def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list, list]:
+def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], RatMatrix, RatMatrix]:
     """Minimal-index staircase of the pencil (a1, delta).
 
     Returns (counts, T_part_basis, S_part_basis) where counts[s] is the
@@ -527,20 +519,19 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], list
     as dim delta(T_part) does, but m - 1 from a hit Jordan block, on which
     delta is invertible, against m: they differ exactly for a bad shift.
     """
-    dim_t, dim_s = a1.cols, a1.rows
     k = a1.kernel_basis()
-    dims = [0, len(k)]
+    dims = [0, k.cols]
     while True:
-        img = span_basis((delta @ RatMatrix.from_columns(k, rows=dim_t)).columns(), dim_s)
+        img = span_basis(delta @ k)
         k2 = preimage_basis(a1, img)
-        if len(k2) == len(k):
+        if k2.cols == k.cols:
             break
         k = k2
-        dims.append(len(k))
+        dims.append(k.cols)
     counts = {s: cnt for s, cnt in enumerate(_block_counts(dims)) if cnt}
     # the loop ends with img = delta(k) for the final k
     t_part, s_part = k, img
-    if sum(s * c for s, c in counts.items()) != len(s_part):
+    if sum(s * c for s, c in counts.items()) != s_part.cols:
         raise _BadShift
     return counts, t_part, s_part
 
@@ -719,20 +710,19 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
 
     up_counts, t_left, s_left = _chain_counts(a1, delta)
 
-    _, free_t = quotient_maps(t_left, alpha.cols)
-    proj_s, _ = quotient_maps(s_left, alpha.rows)
+    _, free_t = quotient_maps(t_left)
+    proj_s, _ = quotient_maps(s_left)
     abar, dbar = (proj_s @ x.take(range(alpha.rows), free_t) for x in (a1, delta))
 
     down_counts, s_right, t_right = _chain_counts(abar.transpose(), dbar.transpose())
 
-    t_reg = annihilator_basis(t_right, abar.cols)
-    _, free = quotient_maps(s_right, abar.rows)
-    m = len(t_reg)
+    t_reg = annihilator_basis(t_right)
+    _, free = quotient_maps(s_right)
+    m = t_reg.cols
 
     bands: list[tuple[int, Eta]] = []
     if m:
-        t_reg_mat = RatMatrix.from_columns(t_reg, rows=abar.cols)
-        a_reg, d_reg = ((x @ t_reg_mat).take(free, range(m)) for x in (abar, dbar))
+        a_reg, d_reg = ((x @ t_reg).take(free, range(m)) for x in (abar, dbar))
         phi = a_reg.solve_matrix(d_reg)
         for theta, sizes in _rational_eigen_blocks(phi):
             # theta = -eta/(1 - c*eta); c*theta = 1 marks the infinite point
@@ -780,7 +770,7 @@ def _ll2_labels(part: _Graded) -> list[Label]:
     there is no u = 0 down block (it would be labelled V(1 - p), rightly).
     """
     soc = _radical(part)
-    tops = [quotient_maps(soc[p], part.dims[p])[1] for p in (0, 1)]
+    tops = [quotient_maps(side)[1] for side in soc]
     pivots = [sorted(set(range(part.dims[p])) - set(tops[p])) for p in (0, 1)]
     labels: list[Label] = []
     for p in (0, 1):
@@ -807,15 +797,13 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     """
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [m.rref()[1] for m in sq]
-    span = [
-        RatMatrix.from_entries(part.dims[p], len(tops[p]), dict.fromkeys(zip(tops[p], count()), Fraction(1))).columns()
-        + [sq[p].column(j) for j in tops[p]]
-        + [x[1 - p].column(j) for x in part for j in tops[1 - p]]
-        for p in (0, 1)
-    ]
+    span = []
+    for p, n in enumerate(part.dims):
+        own = [m.take(range(n), tops[p]) for m in (RatMatrix.identity(n), sq[p])]
+        span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
     k0, k1 = map(len, tops)
     summands = f"{k0} P(0) and {k1} P(1) summands"
-    proj, free = zip(*(quotient_maps(span[p], part.dims[p]) for p in (0, 1)))
+    proj, free = zip(*map(quotient_maps, span))
     # each P(0) and each P(1) puts two dimensions on each side
     spanned = tuple(part.dims[p] - proj[p].rows for p in (0, 1))
     if spanned != (2 * (k0 + k1),) * 2:
@@ -823,7 +811,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     maps = []
     for name, x in zip("ad", part):
         cut = [proj[1 - p] @ x[p] for p in (0, 1)]
-        if any(not (m @ RatMatrix.from_columns(span[p], rows=part.dims[p])).is_zero() for p, m in enumerate(cut)):
+        if any(not (m @ span[p]).is_zero() for p, m in enumerate(cut)):
             raise DecompositionError(f"{name} does not keep the span of the {summands}")
         maps.append(tuple(m.take(range(m.rows), free[p]) for p, m in enumerate(cut)))
     core = _Graded(*maps)

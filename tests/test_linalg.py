@@ -38,15 +38,15 @@ def test_rref_proportional_rows():
 
 
 def test_kernel_identity_empty():
-    assert RatMatrix.identity(2).kernel_basis() == []
+    assert RatMatrix.identity(2).kernel_basis() == RatMatrix.zeros(2, 0)
 
 
 def test_kernel_zero_full():
-    assert len(RatMatrix.zeros(2, 3).kernel_basis()) == 3
+    assert RatMatrix.zeros(2, 3).kernel_basis() == RatMatrix.identity(3)
 
 
 def test_kernel_line():
-    (v,) = RatMatrix.from_rows([[1, 1]]).kernel_basis()
+    (v,) = RatMatrix.from_rows([[1, 1]]).kernel_basis().columns()
     assert v[0] == -v[1] != 0
 
 
@@ -101,7 +101,7 @@ def test_inverse_roundtrip(m):
 @given(rat_matrices())
 @settings(max_examples=60)
 def test_rank_nullity(m):
-    assert m.rank() + len(m.kernel_basis()) == m.cols
+    assert m.rank() + m.kernel_basis().cols == m.cols
 
 
 @given(rat_matrices())
@@ -158,10 +158,10 @@ def test_int_inputs_give_fraction_entries():
     outputs = [
         m.data,
         RatMatrix.from_columns(rows).data,
-        span_basis(rows, 3),
-        RatMatrix.from_rows(rows[:2]).kernel_basis(),
-        RatMatrix.from_rows([[1, 2, 0]]).kernel_basis(),
-        m.transpose().kernel_basis(),
+        span_basis(m.transpose()).data,
+        RatMatrix.from_rows(rows[:2]).kernel_basis().data,
+        RatMatrix.from_rows([[1, 2, 0]]).kernel_basis().data,
+        m.transpose().kernel_basis().data,
     ]
     assert all(type(x) is Fraction for rows_out in outputs for row in rows_out for x in row)
     # the int 0 of rows comes out as the shared zero
@@ -192,14 +192,14 @@ def test_zero_rule_changes_no_result(m, data):
             a @ t,
             t @ a,
             a.kron(t),
-            span_basis(a.data, a.cols),
+            span_basis(t),
             a.solve_matrix(a),
             a.solve_matrix(RatMatrix.identity(a.rows)),
             a.is_zero(),
             # one left row reaches only the rows of a at its nonzeros
             RatMatrix(1, a.rows, t.data[:1]) @ a,
-            quotient_maps(a.data, a.cols),
-            annihilator_basis(a.data, a.cols),
+            quotient_maps(t),
+            annihilator_basis(t),
             RatMatrix.block([[a, a], [None, a]]),
             a.take(range(a.rows - 1, -1, -1), [0, 0, *range(a.cols)]),
             (a @ t).shift(-(a @ t).diagonal_entries()[0]),
@@ -229,7 +229,8 @@ def test_zero_rule_changes_no_result(m, data):
     assert (proj @ a.transpose()).is_zero()
     assert proj.rows == a.cols - a.rank()
     # one kernel convention: proj's rows are the annihilator of a's rows and a's kernel basis
-    assert proj.data == shared[11] == shared[1]
+    assert proj == shared[11].transpose() and shared[11] == shared[1]
+    assert_subspace_helpers_match_their_definitions(a)
 
     def naive_kron_plus(x: RatMatrix, y: RatMatrix, z: RatMatrix) -> list[list[Fraction]]:
         return [
@@ -266,39 +267,74 @@ def test_block_accepts_empty_grids_and_zero_size_blocks():
 
 
 def test_quotient_maps():
-    sub = [[Fraction(1), Fraction(1), Fraction(0)]]
-    proj, free = quotient_maps(sub, 3)
+    sub = RatMatrix.from_columns([[1, 1, 0]])
+    proj, free = quotient_maps(sub)
     assert proj.rows == 2 and len(free) == 2
     assert free == [1, 2]
     assert proj.take(range(proj.rows), free) == RatMatrix.identity(2)
-    assert proj.apply(sub[0]) == [Fraction(0), Fraction(0)]
-    assert quotient_maps([], 3) == (RatMatrix.identity(3), [0, 1, 2])
+    assert (proj @ sub).is_zero()
+    assert quotient_maps(RatMatrix.zeros(3, 0)) == (RatMatrix.identity(3), [0, 1, 2])
 
 
 def test_preimage_basis():
     m = RatMatrix.from_rows([[1, 0], [0, 1]])
-    pre = preimage_basis(m, [[Fraction(1), Fraction(0)]])
-    assert len(pre) == 1 and pre[0][1] == 0
+    pre = preimage_basis(m, RatMatrix.from_columns([[1, 0]]))
+    assert pre.cols == 1 and pre.column(0)[1] == 0
 
 
 def test_span_and_annihilator():
-    vecs = [[1, 0, 1], [2, 0, 2], [0, 1, 0]]
-    basis = span_basis(vecs, 3)
-    assert len(basis) == 2
-    ann = annihilator_basis(basis, 3)
-    assert len(ann) == 1
-    (f,) = ann
-    for v in basis:
-        assert sum(a * b for a, b in zip(f, v)) == 0
-    assert annihilator_basis([], 3) == RatMatrix.identity(3).data
+    vecs = RatMatrix.from_columns([[1, 0, 1], [2, 0, 2], [0, 1, 0]])
+    basis = span_basis(vecs)
+    assert basis.cols == 2
+    ann = annihilator_basis(basis)
+    assert ann.cols == 1
+    assert (ann.transpose() @ basis).is_zero()
+    assert annihilator_basis(RatMatrix.zeros(3, 0)) == RatMatrix.identity(3)
 
 
 def test_restrict_and_express():
     m = RatMatrix.from_rows([[2, 0], [0, 3]])
-    rest = restrict_to_invariant(m, [[1, 0]])
+    rest = restrict_to_invariant(m, RatMatrix.from_columns([[1, 0]]))
     assert rest == RatMatrix.from_rows([[2]])
-    assert restrict_to_invariant(m, []) == RatMatrix.zeros(0, 0)
-    coords = express_in_basis(RatMatrix.from_columns([[Fraction(4), Fraction(0)]]), [[2, 0]])
+    assert restrict_to_invariant(m, RatMatrix.zeros(2, 0)) == RatMatrix.zeros(0, 0)
+    coords = express_in_basis(RatMatrix.from_columns([[Fraction(4), Fraction(0)]]), RatMatrix.from_columns([[2, 0]]))
     assert coords == RatMatrix.from_rows([[2]])
     with pytest.raises(ValueError):
-        restrict_to_invariant(RatMatrix.from_rows([[0, 1], [1, 0]]), [[1, 0]])
+        restrict_to_invariant(RatMatrix.from_rows([[0, 1], [1, 0]]), RatMatrix.from_columns([[1, 0]]))
+
+
+def assert_subspace_helpers_match_their_definitions(a: RatMatrix):
+    """kernel_basis and each subspace helper on a, checked against its definition by ranks and products."""
+
+    def independent(m: RatMatrix) -> bool:
+        return m.rank() == m.cols
+
+    rank = a.rank()
+    kernel = a.kernel_basis()
+    assert (kernel.rows, kernel.cols) == (a.cols, a.cols - rank) and independent(kernel)
+    assert (a @ kernel).is_zero()
+    span = span_basis(a)
+    assert (span.rows, span.cols) == (a.rows, rank) and independent(span)
+    assert RatMatrix.block([[span, a]]).rank() == rank
+    ann = annihilator_basis(a)
+    assert (ann.rows, ann.cols) == (a.rows, a.rows - rank) and independent(ann)
+    assert (ann.transpose() @ a).is_zero()
+    proj, free = quotient_maps(a)
+    assert proj == ann.transpose() and proj.take(range(proj.rows), free) == RatMatrix.identity(proj.rows)
+    # { v : a^T v lies in the kernel of a }, of dimension dim ker a^T + dim(ker a meet im a^T)
+    m = a.transpose()
+    pre = preimage_basis(m, kernel)
+    assert pre.rows == m.cols and independent(pre)
+    assert RatMatrix.block([[kernel, m @ pre]]).rank() == kernel.cols
+    assert pre.cols == m.cols + kernel.cols - RatMatrix.block([[kernel, m]]).rank()
+    # the image of a a^T is invariant under it
+    square = a @ m
+    image = span_basis(square)
+    assert image @ restrict_to_invariant(square, image) == square @ image
+    assert span @ express_in_basis(a, span) == a
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 0), (0, 3), (0, 0)])
+def test_subspace_helpers_take_empty_matrices(rows, cols):
+    # the shapes a separate dimension argument used to stand in for
+    assert_subspace_helpers_match_their_definitions(RatMatrix.zeros(rows, cols))
