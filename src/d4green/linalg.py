@@ -142,6 +142,10 @@ class RatMatrix:
     def columns(self) -> list[list[Fraction]]:
         return [list(col) for col in zip(*self.data)] if self.rows else [[] for _ in range(self.cols)]
 
+    def entries(self) -> dict[tuple[int, int], Fraction]:
+        """The nonzero entries as {(i, j): x}, the inverse of ``from_entries``."""
+        return {(i, j): x for i, row in enumerate(self.data) for j, x in _row_nonzeros(row)}
+
     def diagonal_entries(self) -> list[Fraction]:
         return list(map(list.__getitem__, self.data, range(self.cols)))
 

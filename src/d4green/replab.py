@@ -5,7 +5,7 @@ The algebra is generated by a, b, c, d with
     ba = -ab   db = -bd   ca = -ac   dc = -cd   bc = cb
     a^2 = 0    b^2 = 1    c^2 = 1    d^2 = 0    da + ad = 1 - bc
 
-A :class:`Representation` stores the four generator actions as exact
+A :class:`Representation` gives the four generator actions as exact
 rational matrices.  :func:`build` produces the standard model of each
 label, :func:`tensor` and :func:`dual` implement the comultiplication and
 antipode, and :func:`decompose` splits an arbitrary representation into
@@ -15,10 +15,14 @@ multiplication table, so the two can be checked against each other.
 The decomposition works on the (b, c) weight spaces:
 
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
-   (-β, -γ).  :func:`_weight_split` reads the weights off the diagonals of
-   b and c and cuts a and d into blocks between paired weight spaces.  Every
-   standard model has diagonal b and c (strings are closed-form zigzags, built
-   like the bands), so joint eigenvectors are computed only in other bases.
+   (-β, -γ).  A module keeps its weight grading: the a and d blocks between
+   paired weight spaces.  A tensor product of modules in weight bases builds
+   its blocks from its factors' (:func:`_tensor_grading`), as b and c are
+   grouplike, and never forms its dense matrices for this.  For a module
+   given by its matrices, :func:`_weight_split` reads the weights off the
+   diagonals of b and c and cuts a and d into blocks.  Every standard model
+   has diagonal b and c (strings are closed-form zigzags, built like the
+   bands), so joint eigenvectors are computed only in other bases.
    Weights (1,-1) and (-1,1) make up the bc = -1 part.  Once its relations
    a^2 = 0, d^2 = 0 and da + ad = 2 are checked, it is a semisimple pile of
    two-dimensional simples counted by the ranks of its a blocks.
@@ -75,27 +79,60 @@ class DecompositionError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
 class Representation:
-    """Actions of the four generators on a finite-dimensional module."""
+    """Actions of the four generators on a finite-dimensional module.
 
-    a: RatMatrix
-    b: RatMatrix
-    c: RatMatrix
-    d: RatMatrix
+    A module is immutable once made, and so are the matrices it is given or
+    hands out.  ``Representation(a, b, c, d)`` keeps the four matrices.  A
+    module made by :func:`tensor` keeps its two factors instead and forms
+    its a, b, c and d, by the Kronecker formulas that :func:`tensor`
+    documents, when one of them is first read.  Either way the module keeps
+    its weight grading (see :func:`_weight_split`) once that is computed:
+    :func:`decompose` and the radical-series functions read it, and a tensor
+    product builds its own from its factors' gradings.
+    """
 
-    def __post_init__(self):
-        n = self.a.rows
-        for mat in (self.a, self.b, self.c, self.d):
+    __slots__ = ("dim", "_gens", "_factors", "_grading")
+
+    def __init__(self, a: RatMatrix, b: RatMatrix, c: RatMatrix, d: RatMatrix):
+        n = a.rows
+        for mat in (a, b, c, d):
             if mat.rows != n or mat.cols != n:
                 raise ValueError("generator actions must be square matrices of one size")
+        self._init(n, (a, b, c, d), None)
 
-    @property
-    def dim(self) -> int:
-        return self.a.rows
+    def _init(self, dim: int, gens, factors):
+        for name, value in (("dim", dim), ("_gens", gens), ("_factors", factors), ("_grading", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Representation is immutable: cannot set {name}")
+
+    def __reduce__(self):
+        # copy and pickle remake a module from its factors or its matrices, never by setting slots
+        return (tensor, self._factors) if self._factors else (Representation, self._gens)
 
     def generators(self) -> tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix]:
-        return (self.a, self.b, self.c, self.d)
+        if self._gens is None:
+            m, n = self._factors
+            gens = (m.a.kron_plus(n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron_plus(n.c, n.d))
+            object.__setattr__(self, "_gens", gens)
+        return self._gens
+
+    a, b, c, d = (property(lambda self, k=k: self.generators()[k]) for k in range(4))
+
+    def _weights(self) -> _Grading:
+        """The weight grading, computed on first use and kept."""
+        if self._grading is None:
+            graded = _tensor_grading(*self._factors) if self._factors else None
+            object.__setattr__(self, "_grading", _weight_split(self) if graded is None else graded)
+        return self._grading
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Representation) and self.generators() == other.generators()
+
+    def __repr__(self) -> str:
+        return "Representation({})".format(", ".join(map(repr, self.generators())))
 
 
 @dataclass(frozen=True)
@@ -216,10 +253,15 @@ def check_relations(rep: Representation) -> bool:
 
 
 def tensor(m: Representation, n: Representation) -> Representation:
-    """Tensor product along the comultiplication a -> a(x)b + 1(x)a, d -> d(x)c + 1(x)d."""
-    return Representation(
-        m.a.kron_plus(n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron_plus(n.c, n.d)
-    )
+    """Tensor product along the comultiplication a -> a(x)b + 1(x)a, d -> d(x)c + 1(x)d.
+
+    The product is in the Kronecker basis: vector i dim N + j is the i-th of
+    M tensor the j-th of N.  Its matrices are formed when first read, and its
+    weight grading comes from the factors' (see :func:`_tensor_grading`).
+    """
+    rep = object.__new__(Representation)
+    rep._init(m.dim * n.dim, None, (m, n))
+    return rep
 
 
 def dual(m: Representation) -> Representation:
@@ -332,14 +374,39 @@ def _joint_eigenbasis(rep: Representation) -> tuple[Representation, RatMatrix]:
     return Representation(pinv @ rep.a @ pmat, b, c, pinv @ rep.d @ pmat), pmat
 
 
-def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix]]:
-    """The (b, c) weight spaces of a module and the a, d blocks between them.
+class _Grading(NamedTuple):
+    """The (b, c) weight grading of a module.
 
-    Returns (plus, minus, basis): the bc = +1 and bc = -1 parts as
-    :class:`_Graded` blocks, and per weight in ``_WEIGHTS`` order the matrix
-    of its basis vectors.  Weights are read off the diagonals of b and c; a
-    module in another basis is first rewritten by :func:`_joint_eigenbasis`.
-    Raises DecompositionError when a or d has a part outside the flipped weight.
+    plus and minus are the bc = +1 and bc = -1 parts, cut from the module
+    written in a weight basis (b and c diagonal).  groups lists per weight
+    in ``_WEIGHTS`` order the indices of its vectors in that basis.  pmat is
+    None when the module is given in that basis, and otherwise the matrix
+    of that basis.
+    """
+
+    plus: _Graded
+    minus: _Graded
+    groups: list[list[int]]
+    pmat: RatMatrix | None
+
+    def basis(self) -> list[RatMatrix]:
+        """Per weight in ``_WEIGHTS`` order, the matrix of its basis vectors."""
+        n = sum(map(len, self.groups))
+        unit = [RatMatrix.from_entries(n, len(g), dict.fromkeys(zip(g, count()), Fraction(1))) for g in self.groups]
+        return unit if self.pmat is None else [self.pmat @ m for m in unit]
+
+
+def _graded_in_weight_basis(a: list[RatMatrix], d: list[RatMatrix], groups: list[list[int]]) -> _Grading:
+    """The grading of a module given in a weight basis, from its a and d blocks per weight and its index groups."""
+    return _Grading(_Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), groups, None)
+
+
+def _weight_split(rep: Representation) -> _Grading:
+    """The (b, c) weight spaces of a module given by its matrices, and the a, d blocks between them.
+
+    Weights are read off the diagonals of b and c; a module in another basis
+    is first rewritten by :func:`_joint_eigenbasis`.  Raises
+    DecompositionError when a or d has a part outside the flipped weight.
 
     The checks count zeros at C speed, never test entry by entry.  Once each
     diagonal entry is a weight, b and c are diagonal iff they have n - 1
@@ -352,17 +419,73 @@ def _weight_split(rep: Representation) -> tuple[_Graded, _Graded, list[RatMatrix
     groups = [[i for i, x in enumerate(weights) if x == w] for w in _WEIGHTS]
     if sum(map(len, groups)) != n or rep.b.zero_count() + rep.c.zero_count() != 2 * n * (n - 1):
         rewritten, pmat = _joint_eigenbasis(rep)
-        plus, minus, basis = _weight_split(rewritten)
-        return plus, minus, [pmat @ m for m in basis]
+        return _weight_split(rewritten)._replace(pmat=pmat)
     blocks = []
     for name, x in (("a", rep.a), ("d", rep.d)):
         block = [x.take(groups[w ^ 1], cols) for w, cols in enumerate(groups)]
         if x.zero_count() - sum(m.zero_count() for m in block) != n * n - sum(m.rows * m.cols for m in block):
             _raise_outside_flipped_weight(name, x, groups)
         blocks.append(block)
-    a, d = blocks
-    basis = [RatMatrix.from_entries(n, len(group), dict.fromkeys(zip(group, count()), Fraction(1))) for group in groups]
-    return _Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), basis
+    return _graded_in_weight_basis(*blocks, groups)
+
+
+# _WEIGHT_PRODUCT[w][v] is the weight, as an index into _WEIGHTS, of a product of vectors of weights w and v.
+_WEIGHT_PRODUCT = [[_WEIGHTS.index((x[0] * y[0], x[1] * y[1])) for y in _WEIGHTS] for x in _WEIGHTS]
+
+
+def _tensor_grading(m: Representation, n: Representation) -> _Grading | None:
+    """The grading of m (x) n, built from the factors' gradings; None unless both are in weight bases.
+
+    b and c are grouplike, so vector k = i dim N + j has the product of the
+    weights of i and j, and the product is in a weight basis.  Its groups
+    list the k in increasing order, as :func:`_weight_split` does.  Of
+    Delta(a) = a (x) b + 1 (x) a, the first term puts a_M[i, i'] b_N[j, j] at
+    (i dim N + j, i' dim N + j), where i != i' as a flips weights, and the
+    second puts a_N[j, j'] at (i dim N + j, i dim N + j'); so no two entries
+    meet, and nnz(a_M) dim N + dim M nnz(a_N) entries are written straight
+    into the blocks.  d is the same with c in place of b.
+
+    A factor that is not in a weight basis, or whose own grading raises,
+    gives None, and the product is split by :func:`_weight_split` instead.
+    """
+    try:
+        gm, gn = m._weights(), n._weights()
+    except DecompositionError:
+        return None
+    if gm.pmat is not None or gn.pmat is not None:
+        return None
+    dn = n.dim
+    # the weight of each index of M and of N
+    wm, wn = ([w for _, w in sorted((i, w) for w, group in enumerate(g.groups) for i in group)] for g in (gm, gn))
+    groups: list[list[int]] = [[] for _ in _WEIGHTS]
+    for i, w in enumerate(wm):
+        for v, group in enumerate(gn.groups):
+            groups[_WEIGHT_PRODUCT[w][v]].extend(i * dn + j for j in group)
+    pos = [0] * (m.dim * dn)
+    for group in groups:
+        for t, k in enumerate(group):
+            pos[k] = t
+
+    def nonzeros(g: _Grading, name: str) -> list[tuple[int, int, Fraction]]:
+        # (row, column, entry) of the factor's a or d, in the factor's own indices
+        return [
+            (g.groups[w ^ 1][r], g.groups[w][s], x)
+            for w, block in enumerate(getattr(g.plus, name) + getattr(g.minus, name))
+            for (r, s), x in block.entries().items()
+        ]
+
+    blocks = []
+    for name, grouplike in (("a", 0), ("d", 1)):  # b_N or c_N, by its place in a weight
+        entries: list[dict] = [{} for _ in _WEIGHTS]  # by the weight of the column
+        for i, i2, x in nonzeros(gm, name):
+            for j, v in enumerate(wn):
+                y = x if _WEIGHTS[v][grouplike] == 1 else -x
+                entries[_WEIGHT_PRODUCT[wm[i2]][v]][pos[i * dn + j], pos[i2 * dn + j]] = y
+        for j, j2, x in nonzeros(gn, name):
+            for i, w in enumerate(wm):
+                entries[_WEIGHT_PRODUCT[w][wn[j2]]][pos[i * dn + j], pos[i * dn + j2]] = x
+        blocks.append([RatMatrix.from_entries(len(groups[w ^ 1]), len(groups[w]), e) for w, e in enumerate(entries)])
+    return _graded_in_weight_basis(*blocks, groups)
 
 
 def _raise_outside_flipped_weight(name: str, gen: RatMatrix, groups: list[list[int]]):
@@ -398,8 +521,8 @@ def radical_basis(rep: Representation) -> RatMatrix:
     The radical ideal is spanned by a and d cut to the bc = +1 part, so JM
     is a(M+) + d(M+), graded by the b eigenvalue.
     """
-    plus, _, basis = _weight_split(rep)
-    return RatMatrix.block([[basis[p] @ side for p, side in enumerate(_radical(plus))]])
+    grading = rep._weights()
+    return RatMatrix.block([[m @ side for m, side in zip(grading.basis(), _radical(grading.plus))]])
 
 
 def socle_basis(rep: Representation) -> RatMatrix:
@@ -408,7 +531,8 @@ def socle_basis(rep: Representation) -> RatMatrix:
     The radical kills the bc = -1 part, and on side p of the bc = +1 part
     the socle is the joint kernel of a[p] and d[p].
     """
-    plus, _, basis = _weight_split(rep)
+    grading = rep._weights()
+    plus, basis = grading.plus, grading.basis()
     sides = [basis[p] @ RatMatrix.block([[a], [d]]).kernel_basis() for p, (a, d) in enumerate(zip(plus.a, plus.d))]
     return RatMatrix.block([[basis[2], basis[3], *sides]])
 
@@ -421,7 +545,7 @@ def loewy_length(rep: Representation) -> int:
     """
     if rep.dim == 0:
         return 0
-    plus, _, _ = _weight_split(rep)
+    plus = rep._weights().plus
     layer = _radical(plus)
     k = 1
     while any(side.cols for side in layer):
@@ -445,7 +569,8 @@ def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix
     by d gives a V(2,r) summand on the columns (w, aw).
     """
     n = rep.dim
-    plus, minus, basis = _weight_split(rep)
+    grading = rep._weights()
+    plus, minus, basis = grading.plus, grading.minus, grading.basis()
     jm = _radical(plus)
 
     pieces: list[Representation] = []
@@ -682,8 +807,10 @@ def _kronecker_blocks(alpha: RatMatrix, delta: RatMatrix):
     A shift c is bad only where det(A_reg + c D_reg) = 0.  The m x m
     regular part is a regular pencil, so that determinant is a nonzero
     polynomial in c of degree at most m <= rows: at most rows of the
-    2 rows + 5 shifts tried are bad.
+    2 rows + 5 shifts tried are bad.  A 0 x 0 pencil has no blocks.
     """
+    if not (alpha.rows or alpha.cols):
+        return {}, {}, []
     shifts = [Fraction(0)]
     for k in range(1, alpha.rows + 3):
         shifts.extend((Fraction(k), Fraction(-k)))
@@ -705,8 +832,15 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
     are the band part's m-dimensional domain and codomain, and abar maps
     t_reg onto s_reg.  The basis of s_reg that quotient_maps returns is 1 at
     its free columns and 0 at the others, so coordinates are entries there.
+    alpha + c delta is written from the nonzero entries, so its zeros are
+    the shared zero of linalg.
     """
-    a1 = alpha + delta.scale(c) if c else alpha
+    a1 = alpha
+    if c:
+        shifted = alpha.entries()
+        for key, x in delta.entries().items():
+            shifted[key] = shifted.get(key, 0) + c * x
+        a1 = RatMatrix.from_entries(alpha.rows, alpha.cols, shifted)
 
     up_counts, t_left, s_left = _chain_counts(a1, delta)
 
@@ -831,7 +965,9 @@ def decompose(rep: Representation) -> list[Label]:
     The stages certify these defining relations:
 
     - the weight split: b^2 = c^2 = 1 and bc = cb (the weight spaces fill
-      the module), and a and d anticommute with b and c (they flip weights);
+      the module), and a and d anticommute with b and c (they flip weights).
+      A tensor product of modules in weight bases inherits these from its
+      factors' splits, as the coproduct keeps them;
     - the bc = -1 part: a^2 = 0, d^2 = 0 and da + ad = 2 there;
     - the bc = +1 part: only that the projective span is a submodule and
       that the radical square vanishes on the quotient by it.  a^2 = 0,
@@ -843,8 +979,8 @@ def decompose(rep: Representation) -> list[Label]:
     n = rep.dim
     if n == 0:
         return []
-    plus, minus, _ = _weight_split(rep)
-    labels = sorted(_two_dim_labels(minus) + _one_dim_type_labels(plus))
+    grading = rep._weights()
+    labels = sorted(_two_dim_labels(grading.minus) + _one_dim_type_labels(grading.plus))
     if sum(label_dimension(l) for l in labels) != n:
         raise DecompositionError("decomposition does not exhaust the space")
     return labels

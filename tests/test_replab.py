@@ -121,6 +121,31 @@ def test_tensor_matches_coproduct_formula():
         )
 
 
+def test_tensor_grading_matches_the_split_of_the_dense_product():
+    # the blocks a tensor product writes from its factors' blocks are the ones
+    # _weight_split cuts from the dense Kronecker product, in the same order
+    for l1, l2 in itertools.combinations_with_replacement(grid_labels(3, ETA_POOL), 2):
+        m, n = build(l1), build(l2)
+        dense = Representation(m.a.kron_plus(n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron_plus(n.c, n.d))
+        assert replab._tensor_grading(m, n) == replab._weight_split(dense)
+
+
+def test_representation_is_immutable():
+    rep = tensor(build(omega(1, 0)), build(simple_two(0)))
+    for name in ("a", "dim", "_grading"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(rep, name, None)
+
+
+def test_representation_survives_copy_and_pickle():
+    import copy
+    import pickle
+
+    for rep in (build(band(2, 0, '5/7')), tensor(build(omega(1, 0)), build(simple_two(0)))):
+        for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+            assert clone == rep and decompose(clone) == decompose(rep)
+
+
 def test_tensor_simple_two_square_is_projective():
     assert is_isomorphic(tensor(build(simple_two(0)), build(simple_two(0))), build(projective(1)))
 
@@ -485,14 +510,20 @@ def test_decompose_rejects_generators_that_keep_a_weight():
                 decompose(module)
 
 
+def _split_with_basis(rep):
+    """The two parts of _weight_split and the matrix of each weight's basis vectors."""
+    grading = replab._weight_split(rep)
+    return grading.plus, grading.minus, grading.basis()
+
+
 def test_weight_read_off_matches_joint_eigenbasis_rewrite():
     labels = grid_labels(2, DEFAULT_ETAS)
     reps = [build(l) for l in grid_labels(3, DEFAULT_ETAS)]
     reps += [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
     for rep in reps:
-        plus, minus, basis = replab._weight_split(rep)
+        plus, minus, basis = _split_with_basis(rep)
         rewritten, pmat = replab._joint_eigenbasis(rep)
-        r_plus, r_minus, r_basis = replab._weight_split(rewritten)
+        r_plus, r_minus, r_basis = _split_with_basis(rewritten)
         assert (r_plus, r_minus) == (plus, minus)
         assert [pmat @ m for m in r_basis] == basis
 
@@ -569,7 +600,7 @@ def _split_or_error(split, rep):
 @given(weight_diagonal_modules())
 @settings(max_examples=150, deadline=None)
 def test_weight_split_matches_the_dense_scan(rep):
-    assert _split_or_error(replab._weight_split, rep) == _split_or_error(_dense_weight_split, rep)
+    assert _split_or_error(_split_with_basis, rep) == _split_or_error(_dense_weight_split, rep)
 
 
 def test_standard_models_never_reach_the_joint_eigenbasis(monkeypatch):
@@ -749,6 +780,42 @@ def test_decompose_coerces_no_vector_list(monkeypatch):
     assert [decompose(rep) for rep in products] == expected
 
 
+def test_decompose_of_a_tensor_product_forms_no_dense_product(monkeypatch):
+    # the grading comes from the factors' blocks, so no Kronecker product is formed
+    pairs = list(itertools.product(grid_labels(2, ETA_POOL), repeat=2))
+    expected = [expand(mul_labels(l1, l2)) for l1, l2 in pairs]
+
+    def dense(*args):
+        raise AssertionError("decompose formed a dense Kronecker product")
+
+    monkeypatch.setattr(RatMatrix, "kron", dense)
+    monkeypatch.setattr(RatMatrix, "kron_plus", dense)
+    assert [decompose(tensor(build(l1), build(l2))) for l1, l2 in pairs] == expected
+
+
+def test_decompose_of_a_tensor_product_with_a_factor_in_another_basis():
+    # a factor outside a weight basis sends the dense product through _weight_split
+    import random
+
+    rng = random.Random(5)
+    for l1 in (omega(2, 0), omega(-1, 1), band(2, 1, '5/7'), projective(0), simple_two(1)):
+        conj = _conjugate(build(l1), rng)
+        for l2 in grid_labels(1, ETA_POOL):
+            for rep in (tensor(conj, build(l2)), tensor(build(l2), conj)):
+                assert decompose(rep) == expand(mul_labels(l1, l2))
+                assert rep._weights().pmat is not None
+    # a factor whose own split raises: the product fails as its dense matrices do
+    bad = build(band(2, 0, '1/2'))
+    keep = RatMatrix.from_entries(4, 4, {(0, 0): 1})
+    bad = Representation(bad.a + keep, bad.b, bad.c, bad.d)
+    for rep in (tensor(bad, build(omega(1, 0))), tensor(build(simple_two(0)), bad)):
+        with pytest.raises(DecompositionError) as lazy:
+            decompose(rep)
+        with pytest.raises(DecompositionError) as dense:
+            decompose(Representation(*rep.generators()))
+        assert str(lazy.value) == str(dense.value)
+
+
 def test_module_structure_is_basis_independent():
     import random
 
@@ -878,6 +945,39 @@ def test_decompose_names_the_pencil_no_shift_separates(monkeypatch):
     monkeypatch.setattr(replab, "_kronecker_with_shift", bad_shift)
     with pytest.raises(DecompositionError, match=r"2 x 2 pencil: 9 shifts tried"):
         decompose(build(band(2, 1, '5/7')))
+
+
+def test_a_retried_pencil_shift_keeps_the_shared_zero(monkeypatch):
+    alpha = RatMatrix.from_entries(3, 2, {(0, 0): 1, (1, 1): 1})
+    delta = RatMatrix.from_entries(3, 2, {(1, 0): 1, (2, 1): 1})
+    shifted = []
+    chain_counts = replab._chain_counts
+
+    def spy(a1, delta):
+        shifted.append(a1)
+        return chain_counts(a1, delta)
+
+    monkeypatch.setattr(replab, "_chain_counts", spy)
+    replab._kronecker_with_shift(alpha, delta, Fraction(1))
+    assert shifted[0] == alpha + delta
+    zeros = [x for row in shifted[0].data for x in row if not x]
+    assert len(zeros) == 2 and all(x is _ZERO for x in zeros)
+
+
+def test_empty_pencils_never_reach_the_shift_loop(monkeypatch):
+    shapes = []
+    with_shift = replab._kronecker_with_shift
+
+    def spy(alpha, delta, c):
+        shapes.append((alpha.rows, alpha.cols))
+        return with_shift(alpha, delta, c)
+
+    monkeypatch.setattr(replab, "_kronecker_with_shift", spy)
+    pairs = list(itertools.combinations_with_replacement(grid_labels(2, ETA_POOL), 2))
+    assert [decompose(tensor(build(l1), build(l2))) for l1, l2 in pairs] == [
+        expand(mul_labels(l1, l2)) for l1, l2 in pairs
+    ]
+    assert shapes and shapes.count((0, 0)) == 0
 
 
 @st.composite
