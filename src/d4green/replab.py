@@ -46,7 +46,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import lcm
 from typing import NamedTuple
 
@@ -392,8 +391,8 @@ class _Grading(NamedTuple):
     def basis(self) -> list[RatMatrix]:
         """Per weight in ``_WEIGHTS`` order, the matrix of its basis vectors."""
         n = sum(map(len, self.groups))
-        unit = [RatMatrix.from_entries(n, len(g), dict.fromkeys(zip(g, count()), Fraction(1))) for g in self.groups]
-        return unit if self.pmat is None else [self.pmat @ m for m in unit]
+        pmat = RatMatrix.identity(n) if self.pmat is None else self.pmat
+        return [pmat.take(range(n), group) for group in self.groups]
 
 
 def _graded_in_weight_basis(a: list[RatMatrix], d: list[RatMatrix], groups: list[list[int]]) -> _Grading:
