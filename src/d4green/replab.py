@@ -34,10 +34,11 @@ The decomposition works on the (b, c) weight spaces:
    the other side form a matrix pencil.  Kronecker's classification of
    pencils then yields the string (syzygy/cosyzygy) and band summands, with
    the band parameter read off the generalised eigenvalues.  These are
-   found without factoring any integer: the square-free part of the
-   characteristic polynomial, made monic by scaling its variable, has
-   integers for its rational roots, and Sturm-sequence bisection isolates
-   them.
+   found without factoring any integer.  They are the eigenvalues of a
+   rational matrix phi, and with L the lcm of its denominators the
+   characteristic polynomial of the integer matrix L phi is already monic.
+   So the rational roots of its square-free part are integers, and
+   Sturm-sequence bisection, evaluated on integers, isolates them.
 """
 
 from __future__ import annotations
@@ -642,18 +643,17 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], RatM
     so no count is negative.  sum s counts[s] gets eps from an L_eps block,
     as dim delta(T_part) does, but m - 1 from a hit Jordan block, on which
     delta is invertible, against m: they differ exactly for a bad shift.
+    An empty kernel of a1 ends the chain before any span or preimage.
     """
     k = a1.kernel_basis()
-    dims = [0, k.cols]
-    while True:
-        img = span_basis(delta @ k)
-        k2 = preimage_basis(a1, img)
-        if k2.cols == k.cols:
-            break
-        k = k2
+    dims = [0]
+    img = RatMatrix.zeros(delta.rows, 0)
+    while k.cols > dims[-1]:
         dims.append(k.cols)
+        img = span_basis(delta @ k)
+        k = preimage_basis(a1, img)
     counts = {s: cnt for s, cnt in enumerate(_block_counts(dims)) if cnt}
-    # the loop ends with img = delta(k) for the final k
+    # the loop ends with img = delta(K) and k a basis of a1^-1(img) = K, for the final K
     t_part, s_part = k, img
     if sum(s * c for s, c in counts.items()) != s_part.cols:
         raise _BadShift
@@ -665,17 +665,30 @@ def _charpoly(mat: RatMatrix) -> list[Fraction]:
 
     Faddeev-LeVerrier recurrence (D. K. Faddeev and V. N. Faddeeva,
     Computational Methods of Linear Algebra, 1963): from N_1 = I, the
-    coefficient of x^(m-k) is c_k = -tr(mat N_k) / k, and
-    N_(k+1) = mat N_k + c_k I.  Exact over Q, from matrix products and traces alone.
+    coefficient of x^(m-k) is c_k = -tr(M N_k) / k, and
+    N_(k+1) = M N_k + c_k I, on the ints of M = L mat, L the lcm of mat's
+    denominators.  M's c_k are integers, so each division by k is exact,
+    and det(xI - mat) = L^-m det(L x I - M) divides c_k by L^k.
     """
-    poly = [Fraction(1)]
-    n = RatMatrix.identity(mat.rows)
-    for k in range(1, mat.rows + 1):
-        n = mat @ n
-        c = -sum(n.diagonal_entries()) / k
-        poly.append(c)
-        n = n.shift(c)
-    return poly[::-1]
+    m = mat.rows
+    entries = mat.entries()
+    scale = lcm(*(x.denominator for x in entries.values()))
+    rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
+    for (i, j), x in entries.items():
+        rows[i].append((j, int(x * scale)))
+    coeffs, n = [1], [[int(i == j) for j in range(m)] for i in range(m)]
+    for k in range(1, m + 1):
+        prod = []
+        for row in rows:
+            acc = [0] * m
+            for j, x in row:
+                acc = [u + x * v for u, v in zip(acc, n[j])]
+            prod.append(acc)
+        coeffs.append(-sum(map(list.__getitem__, prod, range(m))) // k)
+        for i in range(m):
+            prod[i][i] += coeffs[-1]
+        n = prod
+    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)][::-1]
 
 
 def _poly_eval(poly: list[int], x: int) -> int:
@@ -703,15 +716,15 @@ def _derivative(poly: list) -> list:
     return [i * c for i, c in enumerate(poly)][1:]
 
 
-def _sign_changes(seq: list[list[Fraction]], x: int) -> int:
-    """Sign changes of the Sturm sequence at x, zeros skipped.
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    """Sign changes of the integer Sturm sequence at x, zeros skipped.
 
     The values are computed here, not by _poly_eval, which is reserved for
     the exact test of each root candidate.
     """
     signs = []
     for poly in seq:
-        acc = Fraction(0)
+        acc = 0
         for c in reversed(poly):
             acc = acc * x + c
         if acc:
@@ -723,13 +736,18 @@ def _integer_roots(h: list[int]) -> list[int]:
     """Integer roots of a square-free monic integer polynomial of degree >= 1.
 
     Sturm's theorem counts the real roots in (lo, hi] as the drop in sign
-    changes from lo to hi.  Bisection on integers, starting from the Cauchy
-    bound, keeps only intervals that hold a real root; each unit interval
-    left is one candidate, its right end, tested exactly with _poly_eval.
+    changes from lo to hi.  Each remainder is scaled by the positive lcm of
+    its denominators before the next division, which it scales as a dividend
+    only, so the sequence keeps its signs and is evaluated on ints.
+    Bisection on integers, starting from the Cauchy bound, keeps only
+    intervals that hold a real root; each unit interval left is one
+    candidate, its right end, tested exactly with _poly_eval.
     """
     seq = [h, _derivative(h)]
     while len(seq[-1]) > 1:
-        seq.append([-c for c in _poly_divmod(seq[-2], seq[-1])[1]])
+        rem = _poly_divmod(seq[-2], seq[-1])[1]
+        den = lcm(*(c.denominator for c in rem))
+        seq.append([-int(c * den) for c in rem])
     bound = 1 + max(abs(c) for c in h[:-1])
     found = []
     todo = [(-bound, _sign_changes(seq, -bound), bound, _sign_changes(seq, bound))]
@@ -750,33 +768,32 @@ def _integer_roots(h: list[int]) -> list[int]:
 def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     """Rational eigenvalues of phi with Jordan block sizes.
 
-    The eigenvalues are found without factoring any integer.  The square-free
-    part p / gcd(p, p') of the characteristic polynomial p, with denominators
-    cleared, is an integer polynomial g of degree n >= 1 with leading
-    coefficient L.  Substituting y = L x gives the monic
-    h(y) = L^(n-1) g(y / L), whose rational roots are integers; they are
-    isolated by _integer_roots, a root at zero like any other, and mapped
-    back to x = y / L.  Each eigenvalue gets its Jordan data from kernel
-    ranks.  Raises when the blocks do not exhaust the space, i.e. some
-    eigenvalue is irrational.
+    The eigenvalues are found without factoring any integer.  With L the lcm
+    of phi's denominators, the characteristic polynomial p of the integer
+    matrix L phi is monic with integer coefficients, and by Gauss's lemma so
+    is its square-free part p / gcd(p, p').  Its rational roots are
+    therefore integers y; they are isolated by _integer_roots, a root at
+    zero like any other, and theta = y / L.  Each eigenvalue gets its Jordan
+    data from the ranks of the powers of L phi - y I, whose kernels are
+    those of phi - theta I.  Raises when the blocks do not exhaust the
+    space, i.e. some eigenvalue is irrational.
     """
     m = phi.rows
-    poly = _charpoly(phi)
+    entries = phi.entries()
+    scale = lcm(*(x.denominator for x in entries.values()))
+    lphi = RatMatrix.from_entries(m, m, {key: x * scale for key, x in entries.items()})
+    poly = _charpoly(lphi)
     gcd, rem = poly, _derivative(poly)
     while rem:
         gcd, rem = rem, _poly_divmod(gcd, rem)[1]
     free = _poly_divmod(poly, gcd)[0]
-    den = lcm(*[c.denominator for c in free])
-    g = [int(c * den) for c in free]
-    n, lead = len(g) - 1, g[-1]
-    h = [c * lead ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
-    roots = [Fraction(y, lead) for y in _integer_roots(h)]
+    roots = _integer_roots([int(c / free[-1]) for c in free])
 
     blocks: list[tuple[Fraction, list[int]]] = []
     total = 0
-    for theta in sorted(roots):
-        # theta is an eigenvalue, so the first power already has a kernel
-        shifted = phi.shift(-theta)
+    for y in sorted(roots):
+        # y is an eigenvalue of L phi, so the first power already has a kernel
+        shifted = lphi.shift(-y)
         kdims = [0]
         power = shifted
         while True:
@@ -786,7 +803,7 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
             kdims.append(kd)
             power = power @ shifted
         sizes = [s + 1 for s, cnt in enumerate(_block_counts(kdims)) for _ in range(cnt)]
-        blocks.append((theta, sizes))
+        blocks.append((Fraction(y, scale), sizes))
         total += sum(sizes)
     if total != m:
         raise DecompositionError(
@@ -832,7 +849,8 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
     t_reg onto s_reg.  The basis of s_reg that quotient_maps returns is 1 at
     its free columns and 0 at the others, so coordinates are entries there.
     alpha + c delta is written from the nonzero entries, so its zeros are
-    the shared zero of linalg.
+    the shared zero of linalg.  A quotient by an empty subspace, and its
+    annihilator, is the identity, so neither is formed for one.
     """
     a1 = alpha
     if c:
@@ -842,21 +860,26 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
         a1 = RatMatrix.from_entries(alpha.rows, alpha.cols, shifted)
 
     up_counts, t_left, s_left = _chain_counts(a1, delta)
-
-    _, free_t = quotient_maps(t_left)
-    proj_s, _ = quotient_maps(s_left)
-    abar, dbar = (proj_s @ x.take(range(alpha.rows), free_t) for x in (a1, delta))
+    abar, dbar = a1, delta
+    if t_left.cols:
+        _, free_t = quotient_maps(t_left)
+        abar, dbar = (x.take(range(x.rows), free_t) for x in (abar, dbar))
+    if s_left.cols:
+        proj_s, _ = quotient_maps(s_left)
+        abar, dbar = proj_s @ abar, proj_s @ dbar
 
     down_counts, s_right, t_right = _chain_counts(abar.transpose(), dbar.transpose())
-
-    t_reg = annihilator_basis(t_right)
-    _, free = quotient_maps(s_right)
-    m = t_reg.cols
+    # t_right can be empty while s_right is not: a zero row of abar and dbar
+    if t_right.cols:
+        t_reg = annihilator_basis(t_right)
+        abar, dbar = abar @ t_reg, dbar @ t_reg
+    if s_right.cols:
+        _, free = quotient_maps(s_right)
+        abar, dbar = (x.take(free, range(x.cols)) for x in (abar, dbar))
 
     bands: list[tuple[int, Eta]] = []
-    if m:
-        a_reg, d_reg = ((x @ t_reg).take(free, range(m)) for x in (abar, dbar))
-        phi = a_reg.solve_matrix(d_reg)
+    if abar.cols:
+        phi = abar.solve_matrix(dbar)
         for theta, sizes in _rational_eigen_blocks(phi):
             # theta = -eta/(1 - c*eta); c*theta = 1 marks the infinite point
             if c * theta == 1:
@@ -878,8 +901,11 @@ def _two_dim_labels(part: _Graded) -> list[Label]:
     down to a^2 = 0, d^2 = 0 and da + ad = 2, checked here on each side.
     They make ad/2 and da/2 complementary idempotents with images a(M) and
     d(M), and a maps d(M) isomorphically onto a(M).  So the rank of a on
-    side p counts the V(2, p) summands, and the two sides balance.
+    side p counts the V(2, p) summands, and the two sides balance.  A part
+    of dimension 0 has no labels and needs no check.
     """
+    if not any(part.dims):
+        return []
     for p in (0, 1):
         n = part.dims[p]
         a, d = part.a[1 - p], part.d[1 - p]
@@ -926,28 +952,32 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     P(p).  For the unit vectors u at its pivot columns the adu are
     independent, and u, au, du, adu over all of them span a submodule made of
     those projectives.  Only the quotient by it, of radical square zero, goes
-    to the Kronecker pencil.
+    to the Kronecker pencil.  Without projectives the quotient is the part
+    itself.
     """
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [m.rref()[1] for m in sq]
-    span = []
-    for p, n in enumerate(part.dims):
-        own = [m.take(range(n), tops[p]) for m in (RatMatrix.identity(n), sq[p])]
-        span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
     k0, k1 = map(len, tops)
     summands = f"{k0} P(0) and {k1} P(1) summands"
-    proj, free = zip(*map(quotient_maps, span))
-    # each P(0) and each P(1) puts two dimensions on each side
-    spanned = tuple(part.dims[p] - proj[p].rows for p in (0, 1))
-    if spanned != (2 * (k0 + k1),) * 2:
-        raise DecompositionError(f"the {summands} span dimensions {spanned}, not 2 * {k0 + k1} on each side")
-    maps = []
-    for name, x in zip("ad", part):
-        cut = [proj[1 - p] @ x[p] for p in (0, 1)]
-        if any(not (m @ span[p]).is_zero() for p, m in enumerate(cut)):
-            raise DecompositionError(f"{name} does not keep the span of the {summands}")
-        maps.append(tuple(m.take(range(m.rows), free[p]) for p, m in enumerate(cut)))
-    core = _Graded(*maps)
+    core = part
+    if k0 or k1:
+        span = []
+        for p, n in enumerate(part.dims):
+            units = RatMatrix.from_entries(n, len(tops[p]), {(t, j): 1 for j, t in enumerate(tops[p])})
+            own = [units, sq[p].take(range(n), tops[p])]
+            span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
+        proj, free = zip(*map(quotient_maps, span))
+        # each P(0) and each P(1) puts two dimensions on each side
+        spanned = tuple(part.dims[p] - proj[p].rows for p in (0, 1))
+        if spanned != (2 * (k0 + k1),) * 2:
+            raise DecompositionError(f"the {summands} span dimensions {spanned}, not 2 * {k0 + k1} on each side")
+        maps = []
+        for name, x in zip("ad", part):
+            cut = [proj[1 - p] @ x[p] for p in (0, 1)]
+            if any(not (m @ span[p]).is_zero() for p, m in enumerate(cut)):
+                raise DecompositionError(f"{name} does not keep the span of the {summands}")
+            maps.append(tuple(m.take(range(m.rows), free[p]) for p, m in enumerate(cut)))
+        core = _Graded(*maps)
     if any(not (x[1 - p] @ y[p]).is_zero() for x in core for y in core for p in (0, 1)):
         raise DecompositionError(
             f"radical square is nonzero on the quotient by the {summands}, of dimensions {core.dims}"

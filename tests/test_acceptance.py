@@ -5,12 +5,14 @@ tolerances anywhere.  The heavy criterion is the first one, which runs
 the full oracle-vs-table grid (s, t up to 4, five band parameters, all
 nineteen product cases)."""
 
+import hashlib
 import itertools
 import os
 import random
 
 import pytest
 
+from d4green.cli import main
 from d4green.green import (
     ETA_INF,
     GreenElement,
@@ -62,6 +64,24 @@ def test_table_oracle_equivalence_up_to_s8():
         "s <= 8 table-oracle equivalence",
         rep.passed and rep.checks == 7021 and len(rep.lines) == 19,
         f"{rep.checks} pairs, {len(rep.lines)} cases, {len(rep.failures)} failures",
+    )
+
+
+def test_grid_decompositions_match_their_digest():
+    # every output of the oracle on the criterion-1 grid, byte for byte
+    pairs = itertools.combinations_with_replacement(FULL_GRID, 2)
+    text = "\n".join(repr(decompose(tensor(build(l1), build(l2)))) for l1, l2 in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a62e17e7c9d2764abfb5b8412b700c2a07b669a28c78b15b28ba5df6592cf19d"
+    )
+
+
+def test_verify_all_stdout_matches_its_digest(capsys, monkeypatch):
+    # two pool workers run on one CPU as well; the digest is of the --jobs 2 output
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(["verify", "all", "--max-s", "2", "--etas", "0,1,-2,5/7,oo", "--jobs", "2"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "9d68457c32871d51e6de63d49ecdf6f548373396fefe3581bcbef5ed457521a1"
     )
 
 

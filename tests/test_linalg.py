@@ -151,8 +151,9 @@ def test_from_columns_rejects_ragged_columns():
 
 
 def test_int_inputs_give_fraction_entries():
-    # replab._charpoly divides a trace of such entries by an int k: an int
-    # entry would make that a float division
+    # entries are Fractions whatever the input type: a caller that divides an
+    # entry by an int gets an exact quotient, where an int entry would give a
+    # float, and a zero can be the shared _ZERO of the zero rule
     rows = [[2, 4, 0], [1, Fraction(1, 2), 3], [Fraction(3), Fraction(0), Fraction(-1, 3)]]
     m = RatMatrix.from_rows(rows)
     outputs = [

@@ -6,7 +6,7 @@ from math import prod
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import ETA_POOL, rat_matrices
@@ -393,6 +393,68 @@ def test_charpoly_matches_determinants(mat):
         for c in reversed(poly):
             value = value * x + c
         assert value == (RatMatrix.identity(m).scale(x) - mat).det()
+
+
+def _jordan_sum(blocks):
+    """The direct sum of Jordan blocks (size, eigenvalue), as a dict of entries, and its dimension."""
+    entries, m = {}, 0
+    for size, lam in blocks:
+        entries.update({(m + i, m + i): lam for i in range(size)})
+        entries.update({(m + i, m + i + 1): 1 for i in range(size - 1)})
+        m += size
+    return entries, m
+
+
+EIGEN_POOL = [Fraction(x) for x in (0, 1, -1, "210/221", "-210/221", "221/210", 1000003 * 1000033)]
+
+
+@st.composite
+def conjugated_jordan_sums(draw):
+    """A direct sum of Jordan blocks of sizes 1-3, at most 6 rows, in a random unimodular integer basis."""
+    blocks = []
+    for size, lam in draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(EIGEN_POOL)), min_size=1)):
+        if sum(s for s, _ in blocks) + size > 6:
+            break
+        blocks.append((size, lam))
+    entries, m = _jordan_sum(blocks)
+    p = RatMatrix.identity(m)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        if i != j:
+            # add t times row j to row i: an elementary integer matrix of determinant 1
+            p = RatMatrix.from_entries(m, m, {(k, k): 1 for k in range(m)} | {(i, j): draw(st.integers(-2, 2))}) @ p
+    return p @ RatMatrix.from_entries(m, m, entries) @ p.inverse(), blocks
+
+
+@given(conjugated_jordan_sums())
+@settings(max_examples=60, deadline=None)
+def test_rational_eigen_blocks_recover_the_jordan_data(case):
+    phi, blocks = case
+    expected = {}
+    for size, lam in blocks:
+        expected.setdefault(lam, []).append(size)
+    assert replab._rational_eigen_blocks(phi) == [(lam, sorted(sizes)) for lam, sizes in sorted(expected.items())]
+
+
+@pytest.mark.parametrize("rational", [[], [(1, Fraction(5, 7))], [(2, Fraction(210, 221))]], ids=["alone", "5/7", "jordan"])
+@pytest.mark.parametrize("companion", [{(0, 1): 2, (1, 0): 1}, {(0, 1): -1, (1, 0): 1}], ids=["x^2-2", "x^2+1"])
+def test_rational_eigen_blocks_reject_an_irrational_companion(companion, rational):
+    entries, m = _jordan_sum(rational)
+    phi = RatMatrix.from_entries(m + 2, m + 2, entries | {(m + i, m + j): x for (i, j), x in companion.items()})
+    with pytest.raises(DecompositionError, match=f"rationality gap.*cover {m} of the {m + 2} dimensions"):
+        replab._rational_eigen_blocks(phi)
+
+
+@given(st.lists(st.integers(-10**6, 10**12), unique=True, max_size=5), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_integer_roots_are_exactly_the_integer_roots(roots, with_unit_circle):
+    assume(roots or with_unit_circle)
+    poly = [1]
+    for r in roots:
+        poly = [x - r * y for x, y in zip([0] + poly, poly + [0])]
+    if with_unit_circle:
+        poly = [x + y for x, y in zip([0, 0] + poly, poly + [0, 0])]
+    assert sorted(replab._integer_roots(poly)) == sorted(roots)
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -1041,6 +1103,32 @@ def test_pencil_shift_is_bad_exactly_when_it_hits_a_band_eigenvalue(pencil):
             up, down, found = replab._kronecker_with_shift(alpha, delta, c)
             assert (up, down) == (Counter(ups), Counter(downs))
             assert sorted(found, key=key) == bands
+
+
+def _raise(*args):
+    raise AssertionError("called on an empty piece")
+
+
+def test_a_regular_pencil_needs_no_subspace_helper(monkeypatch):
+    for name in ("quotient_maps", "annihilator_basis", "span_basis", "preimage_basis"):
+        monkeypatch.setattr(replab, name, _raise)
+    delta = RatMatrix.from_entries(3, 3, _jordan_sum([(3, Fraction(5, 7))])[0])
+    assert replab._kronecker_with_shift(RatMatrix.identity(3), delta, Fraction(0)) == ({}, {}, [(3, eta("-5/7"))])
+
+
+def test_an_empty_bc_minus_one_part_needs_no_product(monkeypatch):
+    part = build(projective(0))._weights().minus
+    assert part.dims == (0, 0)
+    monkeypatch.setattr(RatMatrix, "__matmul__", _raise)
+    assert replab._two_dim_labels(part) == []
+
+
+def test_a_band_part_needs_no_quotient(monkeypatch):
+    # a band has no projective summand, so its bc = +1 part is its own quotient
+    part = build(band(4, 0, eta("210/221")))._weights().plus
+    monkeypatch.setattr(replab, "_ll2_labels", lambda core: [])
+    monkeypatch.setattr(replab, "quotient_maps", _raise)
+    assert replab._one_dim_type_labels(part) == []
 
 
 @given(st.lists(st.integers(0, 30), min_size=1, max_size=8))
