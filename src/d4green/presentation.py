@@ -8,15 +8,26 @@ the basis
     1, g, x, gx, x^2, gx^2, y^n, gy^n, z^n, gz^n, X_{n,eta}, gX_{n,eta}
 
 and :func:`nf_mul` multiplies normal forms by a fixed table: ``_mul_cores``
-gives every product of two g-free monomials in closed form and never calls
-:func:`nf_mul`.  :func:`to_green` and :func:`from_green` realise the
-mutually inverse ring isomorphisms with the label model in
-:mod:`d4green.green`.
+gives every product of the g-free cores of two monomials in closed form,
+as (monomial, coefficient) pairs, and never calls :func:`nf_mul`.
+:func:`nf_mul` walks both coefficient maps unsorted, multiplies each core
+product by g^(g1 XOR g2) (where that is g, it flips the g bit of every
+output monomial), and sums everything into one dict that becomes the
+result.  The output
+monomials are built by ``_mono``, which skips the validation of the public
+:class:`PresMonomial` constructor.  That is safe because every field comes
+from valid inputs: g bits combine by XOR, each kind is taken from the
+closed set, each n is a sum, difference or minimum of sizes that keeps it
+at least 1 where the kind needs it (and 0 where it does not), and an eta
+is copied from a band factor.
+
+:func:`to_green` and :func:`from_green` realise the mutually inverse ring
+isomorphisms with the label model in :mod:`d4green.green`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -44,28 +55,42 @@ class PresKind(IntEnum):
     BAND = 5
 
 
-@dataclass(frozen=True)
-class PresMonomial:
-    """One basis monomial: a core generator power times an optional g."""
+_tuple_new = tuple.__new__
+_PresFields = namedtuple("PresMonomial", "g kind n eta")
 
-    g: int
-    kind: PresKind
-    n: int = 0
-    eta: Eta | None = None
 
-    def __post_init__(self):
-        if self.g not in (0, 1):
+class PresMonomial(_PresFields):
+    """One basis monomial: a core generator power times an optional g.
+
+    A tuple ``(g, kind, n, eta)``.  The constructor validates; equality and
+    hashing are the tuple's, but the canonical order is ``sort_key``, not
+    the tuple's field order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, g: int, kind: PresKind, n: int = 0, eta: Eta | None = None):
+        if g not in (0, 1):
             raise ValueError("g exponent must be 0 or 1")
-        if self.kind in (PresKind.Y, PresKind.Z, PresKind.BAND):
-            if self.n < 1:
-                raise ValueError(f"{self.kind.name} needs n >= 1")
-        elif self.n:
-            raise ValueError(f"{self.kind.name} does not take n")
-        if self.kind is PresKind.BAND:
-            if not isinstance(self.eta, Eta):
+        if type(kind) is not PresKind:
+            # products dispatch on kind by identity
+            kind = PresKind(kind)
+        if kind in (PresKind.Y, PresKind.Z, PresKind.BAND):
+            if n < 1:
+                raise ValueError(f"{kind.name} needs n >= 1")
+        elif n:
+            raise ValueError(f"{kind.name} does not take n")
+        if kind is PresKind.BAND:
+            if not isinstance(eta, Eta):
                 raise ValueError("band monomial needs an Eta parameter")
-        elif self.eta is not None:
-            raise ValueError(f"{self.kind.name} does not take eta")
+        elif eta is not None:
+            raise ValueError(f"{kind.name} does not take eta")
+        return _tuple_new(cls, (g, kind, n, eta))
+
+    @classmethod
+    def _make(cls, iterable) -> "PresMonomial":
+        # namedtuple's _make (and so _replace) would skip validation
+        return cls(*iterable)
 
     def sort_key(self):
         ek = self.eta.sort_key() if self.eta is not None else (0, 0)
@@ -73,6 +98,15 @@ class PresMonomial:
 
     def __lt__(self, other: "PresMonomial") -> bool:
         return self.sort_key() < other.sort_key()
+
+    def __le__(self, other: "PresMonomial") -> bool:
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other: "PresMonomial") -> bool:
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other: "PresMonomial") -> bool:
+        return self.sort_key() >= other.sort_key()
 
     def __str__(self) -> str:
         core = {
@@ -86,6 +120,11 @@ class PresMonomial:
         if not self.g:
             return core
         return "g" if self.kind is PresKind.ONE else f"g*{core}"
+
+
+def _mono(g: int, kind: PresKind, n: int = 0, e: Eta | None = None) -> PresMonomial:
+    """PresMonomial without validation, for monomials built from valid ones."""
+    return _tuple_new(PresMonomial, (g, kind, n, e))
 
 
 def mono_one(g: int = 0) -> PresMonomial:
@@ -160,39 +199,41 @@ def _pow_one_plus_two_g(n: int) -> GroupRingPair:
     return GroupRingPair((p + m) // 2, (p - m) // 2)
 
 
-def _g_twist(e: PresElement, g: int) -> PresElement:
-    if not g:
-        return e
-    return PresElement(
-        (PresMonomial((m.g + 1) % 2, m.kind, m.n, m.eta), c) for m, c in e.terms()
-    )
+_X = (_mono(0, PresKind.X), _mono(1, PresKind.X))
+_X2 = (_mono(0, PresKind.X2), _mono(1, PresKind.X2))
 
 
-def _mul_cores(m1: PresMonomial, m2: PresMonomial) -> PresElement:
-    """Product of two g-free monomials, fully rewritten to normal form."""
+def _mul_cores(m1: PresMonomial, m2: PresMonomial) -> list[tuple[PresMonomial, int]]:
+    """Product of the g-free cores of two monomials, fully rewritten to
+    normal form, as (monomial, coefficient) pairs.
+
+    Reads only the kind, n and eta of its arguments; a monomial may occur
+    with coefficient 0.
+    """
     if m1.kind > m2.kind:
         m1, m2 = m2, m1
     k1, k2 = m1.kind, m2.kind
     K = PresKind
 
     if k1 is K.ONE:
-        return PresElement.from_monomial(m2)
+        return [(_mono(0, k2, m2.n, m2.eta), 1)]
 
-    if k1 in (K.X, K.X2):
+    if k1 is K.X or k1 is K.X2:
         if k2 is K.X:
-            return PresElement.from_monomial(mono_x2())
+            return [(_X2[0], 1)]
         if k2 is K.X2:
             # x^3 = 2x + 2gx and x^4 = 2x^2 + 2gx^2
             c0 = c1 = 2
-        elif k2 in (K.Y, K.Z):
+        elif k2 is K.Y or k2 is K.Z:
             c0, c1 = _pow_one_plus_two_g(m2.n)
         else:
             c0 = c1 = m2.n
-        return PresElement([(PresMonomial(0, k1), c0), (PresMonomial(1, k1), c1)])
+        m, gm = _X if k1 is K.X else _X2
+        return [(m, c0), (gm, c1)]
 
-    if k1 in (K.Y, K.Z):
+    if k1 is K.Y or k1 is K.Z:
         if k2 is k1:
-            return PresElement.from_monomial(PresMonomial(0, k1, m1.n + m2.n))
+            return [(_mono(0, k1, m1.n + m2.n), 1)]
         if k2 is K.Z:
             return _mixed_yz(m1.n, m2.n)
         return _string_times_band(k1, m1.n, m2)
@@ -201,20 +242,14 @@ def _mul_cores(m1: PresMonomial, m2: PresMonomial) -> PresElement:
     n, t = m1.n, m2.n
     e1, e2 = m1.eta, m2.eta
     if e1 != e2:
-        return PresElement([(mono_x2(1), n * t)])
+        return [(_X2[1], n * t)]
     if n > t:
         n, t = t, n
-    return PresElement(
-        [
-            (mono_x2(1), n * (t - 1)),
-            (PresMonomial(0, K.BAND, n, e1), 1),
-            (PresMonomial(1, K.BAND, n, e1), 1),
-        ]
-    )
+    return [(_X2[1], n * (t - 1)), (_mono(0, K.BAND, n, e1), 1), (_mono(1, K.BAND, n, e1), 1)]
 
 
-def _mixed_yz(m: int, n: int) -> PresElement:
-    """y^m z^n in closed form.
+def _mixed_yz(m: int, n: int) -> list[tuple[PresMonomial, int]]:
+    """y^m z^n in closed form, as (monomial, coefficient) pairs.
 
     With k = min(m, n), yz = 1 + 2x^2 and x^4 = 2(1+g)x^2 give
     (1+2x^2)^k = 1 + 2k x^2 + ((9^k - 8k - 1)/8)(1+g)x^2.  The leftover
@@ -223,16 +258,17 @@ def _mixed_yz(m: int, n: int) -> PresElement:
     """
     k, j = min(m, n), abs(m - n)
     if j == 0:
-        head = mono_one()
+        head = _mono(0, PresKind.ONE)
     else:
-        head = mono_y(j) if m > n else mono_z(j)
+        head = _mono(0, PresKind.Y if m > n else PresKind.Z, j)
     c0, c1 = _pow_one_plus_two_g(j)
     shared = (9**k - 8 * k - 1) // 8 * 3**j
-    return PresElement([(head, 1), (mono_x2(), 2 * k * c0 + shared), (mono_x2(1), 2 * k * c1 + shared)])
+    return [(head, 1), (_X2[0], 2 * k * c0 + shared), (_X2[1], 2 * k * c1 + shared)]
 
 
-def _string_times_band(kind: PresKind, m: int, bmono: PresMonomial) -> PresElement:
-    """y^m or z^m times a band monomial X = X_{n,eta}, in closed form.
+def _string_times_band(kind: PresKind, m: int, bmono: PresMonomial) -> list[tuple[PresMonomial, int]]:
+    """y^m or z^m times a band monomial X = X_{n,eta}, in closed form, as
+    (monomial, coefficient) pairs.
 
     The relations give zX = n x^2 + gX and yX = n g x^2 + gX, and y and z
     both act on x^2 as u = 1 + 2g, since x(y - 1 - 2g) = 0 and
@@ -248,24 +284,28 @@ def _string_times_band(kind: PresKind, m: int, bmono: PresMonomial) -> PresEleme
     c0, c1 = (a + b) // 2, (a - b) // 2
     if kind is PresKind.Y:
         c0, c1 = c1, c0
-    return PresElement([(mono_x2(), n * c0), (mono_x2(1), n * c1), (PresMonomial(m % 2, PresKind.BAND, n, bmono.eta), 1)])
-
-
-def _mul_monomials(m1: PresMonomial, m2: PresMonomial) -> PresElement:
-    g = (m1.g + m2.g) % 2
-    core1 = PresMonomial(0, m1.kind, m1.n, m1.eta)
-    core2 = PresMonomial(0, m2.kind, m2.n, m2.eta)
-    return _g_twist(_mul_cores(core1, core2), g)
+    return [(_X2[0], n * c0), (_X2[1], n * c1), (_mono(m % 2, PresKind.BAND, n, bmono.eta), 1)]
 
 
 def nf_mul(p: PresElement, q: PresElement) -> PresElement:
     """Product of two normal forms, again in normal form."""
-    return PresElement(
-        (m, c1 * c2 * c)
-        for m1, c1 in p.terms()
-        for m2, c2 in q.terms()
-        for m, c in _mul_monomials(m1, m2).terms()
-    )
+    store: dict = {}
+    get = store.get
+    right = q._coeffs.items()
+    for m1, c1 in p._coeffs.items():
+        g1 = m1.g
+        for m2, c2 in right:
+            twist = g1 ^ m2.g
+            c12 = c1 * c2
+            for m, c in _mul_cores(m1, m2):
+                if twist:
+                    m = _mono(m.g ^ 1, m.kind, m.n, m.eta)
+                c = get(m, 0) + c * c12
+                if c:
+                    store[m] = c
+                else:
+                    store.pop(m, None)
+    return p._wrap(store)
 
 
 # -- isomorphism with the label model ------------------------------------

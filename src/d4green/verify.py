@@ -18,7 +18,6 @@ outcome to the exit code.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -124,6 +123,9 @@ def _run_pairs(scope: str, check, max_s: int, etas, seed: int, jobs: int) -> tup
         f"seed={seed} jobs={jobs} pairs={len(pairs)}"
     )
     if jobs > 1:
+        # imported here: it costs every CLI call about 12 ms otherwise
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             results = pool.map(check, pairs, chunksize=16)
     else:

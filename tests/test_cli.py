@@ -140,16 +140,29 @@ def test_empty_eta_item_exits_2(capsys, etas, item):
     assert err == f"error: --etas item {item} of {etas!r} is empty"
 
 
-def test_closed_stdout_exits_141():
+def _child_env():
+    """The environment for a fresh interpreter that imports this package."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_exits_141():
     with subprocess.Popen(
         [sys.executable, "-m", "d4green.cli", "verify", "table", "--max-s", "1"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env(),
     ) as proc:
         proc.stdout.close()
         _, err = proc.communicate(timeout=120)
     assert (proc.returncode, err) == (141, b"")
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    # only verify --jobs N > 1 starts a pool, so only it imports multiprocessing
+    probe = "import sys, d4green.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(), timeout=120, check=True
+    )
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("scope", ["table", "presentation", "braiding", "all"])
