@@ -2,15 +2,48 @@
 
 from __future__ import annotations
 
+from operator import methodcaller
 from typing import Iterable
+
+_sort_key = methodcaller("sort_key")
+
+
+class BasisTuple:
+    """Mixin for the validated namedtuple basis keys.
+
+    It comes before the namedtuple in the bases.  The canonical order is
+    ``sort_key``'s, not the tuple's field order, and ``_make``, so also
+    ``_replace``, goes through the subclass's validating constructor.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's _make (and so _replace) would skip validation
+        return cls(*iterable)
+
+    def __lt__(self, other):
+        return self.sort_key() < other.sort_key()
+
+    def __le__(self, other):
+        return self.sort_key() <= other.sort_key()
+
+    def __gt__(self, other):
+        return self.sort_key() > other.sort_key()
+
+    def __ge__(self, other):
+        return self.sort_key() >= other.sort_key()
 
 
 class LinearCombination:
-    """Finite integer-coefficient map over hashable, sortable basis keys.
+    """Finite integer-coefficient map over hashable basis keys, each with a
+    ``sort_key`` method that gives the canonical basis order.
 
     Zero coefficients are never stored; equality and hashing are by the
     underlying map.  The constructor is the one place where terms are
-    summed.
+    summed; callers that only sum iterate ``_coeffs.items()`` in any order,
+    and only ``terms`` sorts.
     """
 
     __slots__ = ("_coeffs",)
@@ -36,7 +69,8 @@ class LinearCombination:
 
     def terms(self) -> list[tuple]:
         """(key, coefficient) pairs in canonical basis order."""
-        return [(k, self._coeffs[k]) for k in sorted(self._coeffs)]
+        coeffs = self._coeffs
+        return [(k, coeffs[k]) for k in sorted(coeffs, key=_sort_key)]
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)

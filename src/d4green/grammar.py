@@ -20,10 +20,19 @@ Presentation-side grammar, used by the normal-form commands::
 Products of generators are multiplied out, so presentation input need not
 be in normal form.  Rendering always emits canonical order, and parsing a
 rendered element reproduces it exactly.
+
+Whitespace (``str.isspace``) may stand between any two tokens.  Each term is
+read in one match of a compiled pattern of its grammar, sign included.  A
+term that the pattern does not match, or whose fields break a rule the
+pattern does not check, is read again from its sign by the step-by-step
+reader (``_Cursor``).  The reader is the reference: it raises every
+``ParseError``, so messages and positions do not depend on the pattern, and
+both paths build the same element from any term both accept.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .green import (
@@ -62,9 +71,9 @@ _DIGITS = frozenset("0123456789")
 
 
 class _Cursor:
-    def __init__(self, src: str):
+    def __init__(self, src: str, pos: int = 0):
         self.src = src
-        self.pos = 0
+        self.pos = pos
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -131,6 +140,96 @@ def parse_eta(src: str) -> Eta:
     return value
 
 
+# -- one compiled pattern per term -------------------------------------------
+#
+# Digits are [0-9], not \d, which also matches digits such as '١'; \s is
+# exactly str.isspace, which the cursor skips.  Every digit run is followed
+# by (?![0-9]), so no backtracking splits one, and a pattern never ends a
+# term where the reader would go on reading it.  The rules a pattern does
+# not check (a residue above 1, a zero size or denominator) send the term
+# to the reader, like a term the pattern does not match.
+
+_UINT = r"([0-9]+)(?![0-9])"
+# eta: groups oo, minus sign, numerator, denominator
+_ETA = r"(?:(oo)|(-)?\s*" + _UINT + r"(?:\s*/\s*" + _UINT + r")?)"
+
+# groups: sign, coefficient; V(2,r), V(r), P(r); O^ sign, s, r; M_ s, r; eta
+_LABEL_TERM = re.compile(
+    r"\s*([+-])?\s*(?:" + _UINT + r"\s*\*\s*)?\[\s*(?:"
+    r"V\(2,\s*" + _UINT +
+    r"|V\(\s*" + _UINT +
+    r"|P\(\s*" + _UINT +
+    r"|O\^\s*(-)?\s*" + _UINT + r"\s*V\(\s*" + _UINT +
+    r"|M_\s*" + _UINT + r"\s*\(\s*" + _UINT + r"\s*,\s*" + _ETA +
+    r")\s*\)\s*\]"
+)
+
+# One factor with its power; groups: band size, eta, generator, power.
+_FACTOR = r"\s*(?:X_\{\s*" + _UINT + r"\s*,\s*" + _ETA + r"\s*\}|([1gxyz]))(?:\s*\^\s*" + _UINT + r")?(?!\s*\^)"
+_PRES_FACTOR = re.compile(_FACTOR)
+# groups: sign, a coefficient alone, a coefficient before factors, the
+# factors (then those of _FACTOR, which _PRES_FACTOR reads again).
+# A digit run that is exactly '1' is the unit factor; any other is a
+# coefficient, so factors come first only where two digits do not.
+_COEFF = r"(?!1(?![0-9]))" + _UINT
+_PRES_TERM = re.compile(
+    r"\s*([+-])?\s*(?:" + _COEFF + r"(?!\s*\*)"
+    r"|(?:" + _COEFF + r"\s*\*|(?!\s*[0-9]{2}))(" + _FACTOR + r"(?:\s*\*" + _FACTOR + r")*)(?!\s*\*))"
+)
+
+
+def _eta_of(inf, neg, num, den) -> Eta | None:
+    """The eta of matched eta groups; None for a zero denominator."""
+    if inf:
+        return ETA_INF
+    num = int(num)
+    if den:
+        den = int(den)
+        if not den:
+            return None
+        value = Fraction(num, den)
+    else:
+        value = Fraction(num)
+    return Eta(-value if neg else value)
+
+
+def _label_term_of(m: re.Match) -> list[tuple[Label, int]] | None:
+    """The pairs of a term matched by _LABEL_TERM; None where a field breaks a
+    rule.  Fields are converted in the reader's order, so an integer too
+    long for int() raises the reader's ValueError."""
+    _, coeff, two, one, proj, neg, s, sr, bs, br, *e = m.groups()
+    coeff = 1 if coeff is None else int(coeff)
+    if bs is not None:
+        s = int(bs)
+        if not s:
+            return None
+        r = int(br)
+        if r > 1:
+            return None
+        value = _eta_of(*e)
+        if value is None:
+            return None
+        return [(band(s, r, value), coeff)]
+    if s is not None:
+        s = int(s)
+        if not s:
+            return None
+        r = int(sr)
+        if r > 1:
+            return None
+        return [(omega(-s if neg else s, r), coeff)]
+    if two is not None:
+        text, make = two, simple_two
+    elif one is not None:
+        text, make = one, simple_one
+    else:
+        text, make = proj, projective
+    r = int(text)
+    if r > 1:
+        return None
+    return [(make(r), coeff)]
+
+
 def _parse_label(cur: _Cursor) -> Label:
     cur.skip_ws()
     start = cur.pos
@@ -170,30 +269,39 @@ def _parse_label(cur: _Cursor) -> Label:
     raise ParseError("expected a module label", start)
 
 
-def _parse_sum(src: str, cls, parse_term):
+def _parse_sum(src: str, cls, pattern: re.Pattern, term_of, read_term):
     """Read a signed sum of terms into one ``cls`` element; '0' is zero.
 
-    ``parse_term`` reads one term at the cursor and returns its
-    (key, coefficient) pairs.
+    Each term is first matched by ``pattern``, and ``term_of`` gives the
+    match's (key, coefficient) pairs, or None.  A term that does not match,
+    or gets None, is read again from its sign by the cursor and
+    ``read_term``, which raise every ParseError.
     """
     if src.strip() == "0":
         return cls.zero()
-    cur = _Cursor(src)
     pairs = []
-    sign = -1 if cur.take("-") else 1
-    if sign == 1:
-        cur.take("+")
+    pos, first = 0, True
     while True:
-        cur.skip_ws()
-        pairs.extend((key, sign * c) for key, c in parse_term(cur))
-        if cur.at_end():
-            return cls(pairs)
-        if cur.take("+"):
-            sign = 1
-        elif cur.take("-"):
-            sign = -1
+        m = pattern.match(src, pos)
+        terms = term_of(m) if m is not None and (first or m[1]) else None
+        if terms is not None:
+            negative = m[1] == "-"
+            pos = m.end()
         else:
-            raise ParseError("expected '+', '-' or end of input", cur.pos)
+            cur = _Cursor(src, pos)
+            if cur.take("-"):
+                negative = True
+            elif cur.take("+") or first:
+                negative = False
+            else:
+                raise ParseError("expected '+', '-' or end of input", cur.pos)
+            cur.skip_ws()
+            terms = read_term(cur)
+            pos = cur.pos
+        pairs.extend([(key, -c) for key, c in terms] if negative else terms)
+        if pos == len(src) or src[pos:].isspace():
+            return cls(pairs)
+        first = False
 
 
 def _parse_label_term(cur: _Cursor) -> list[tuple[Label, int]]:
@@ -209,7 +317,7 @@ def _parse_label_term(cur: _Cursor) -> list[tuple[Label, int]]:
 
 def parse_element(src: str) -> GreenElement:
     """Parse an integer combination of bracketed labels; '0' is the zero element."""
-    return _parse_sum(src, GreenElement, _parse_label_term)
+    return _parse_sum(src, GreenElement, _LABEL_TERM, _label_term_of, _parse_label_term)
 
 
 def render_label(label: Label) -> str:
@@ -257,10 +365,11 @@ def element_to_json(e: GreenElement) -> dict:
 # -- presentation side ----------------------------------------------------
 
 
-_GENERATORS = {"g": mono_one(1), "x": mono_x(), "y": mono_y(1), "z": mono_z(1)}
+_GENERATORS = {"1": mono_one(), "g": mono_one(1), "x": mono_x(), "y": mono_y(1), "z": mono_z(1)}
 
 
-def _parse_pres_factor(cur: _Cursor) -> PresElement:
+def _parse_pres_factor(cur: _Cursor) -> tuple[PresElement, int | None]:
+    """One factor read by the cursor, as its base and its power (None if absent)."""
     cur.skip_ws()
     start = cur.pos
     if cur.take("X_{"):
@@ -272,8 +381,6 @@ def _parse_pres_factor(cur: _Cursor) -> PresElement:
         e = cur.eta()
         cur.expect("}")
         base = PresElement.from_monomial(mono_band(n, e))
-    elif cur.take("1"):
-        base = PresElement.unit()
     else:
         ch = cur.peek()
         if ch in _GENERATORS:
@@ -281,13 +388,23 @@ def _parse_pres_factor(cur: _Cursor) -> PresElement:
             base = PresElement.from_monomial(_GENERATORS[ch])
         else:
             raise ParseError("expected a generator (1, g, x, y, z or X_{n,eta})", start)
-    if cur.take("^"):
-        power = cur.uint()
-        acc = PresElement.unit()
-        for _ in range(power):
-            acc = nf_mul(acc, base)
-        return acc
-    return base
+    return base, cur.uint() if cur.take("^") else None
+
+
+def _pres_product(coeff: int, factors) -> list[tuple[PresMonomial, int]]:
+    """The pairs of coeff times the product of (base, power) factors.
+
+    A power is that many products by the base, one after another.
+    """
+    term = None
+    for base, power in factors:
+        if power is not None:
+            acc = PresElement.unit()
+            for _ in range(power):
+                acc = nf_mul(acc, base)
+            base = acc
+        term = base if term is None else nf_mul(term, base)
+    return [(m, coeff * c) for m, c in term._coeffs.items()]
 
 
 def _parse_pres_term(cur: _Cursor) -> list[tuple[PresMonomial, int]]:
@@ -301,15 +418,37 @@ def _parse_pres_term(cur: _Cursor) -> list[tuple[PresMonomial, int]]:
             coeff, cur.pos = 1, start
         elif not cur.take("*"):
             return [(mono_one(), coeff)]
-    term = _parse_pres_factor(cur)
+    factors = [_parse_pres_factor(cur)]
     while cur.take("*"):
-        term = nf_mul(term, _parse_pres_factor(cur))
-    return [(m, coeff * c) for m, c in term.terms()]
+        factors.append(_parse_pres_factor(cur))
+    return _pres_product(coeff, factors)
+
+
+def _pres_term_of(m: re.Match) -> list[tuple[PresMonomial, int]] | None:
+    """The pairs of a term matched by _PRES_TERM; None where a band size or
+    an eta denominator is zero.  Every field is converted before any
+    product is taken, in the reader's order."""
+    alone, coeff = m[2], m[3]
+    if alone is not None:
+        return [(mono_one(), int(alone))]
+    factors = []
+    coeff = 1 if coeff is None else int(coeff)
+    for n, *e, gen, power in _PRES_FACTOR.findall(m.string, *m.span(4)):
+        if gen:
+            base = PresElement.from_monomial(_GENERATORS[gen])
+        else:
+            n = int(n)
+            value = _eta_of(*e) if n else None
+            if value is None:
+                return None
+            base = PresElement.from_monomial(mono_band(n, value))
+        factors.append((base, int(power) if power else None))
+    return _pres_product(coeff, factors)
 
 
 def parse_pres_element(src: str) -> PresElement:
     """Parse a presentation expression and reduce it to normal form."""
-    return _parse_sum(src, PresElement, _parse_pres_term)
+    return _parse_sum(src, PresElement, _PRES_TERM, _pres_term_of, _parse_pres_term)
 
 
 def render_pres_element(p: PresElement) -> str:

@@ -14,15 +14,25 @@ algebra fall into six families, named here by labels:
 These labels form a Z-basis of the Green ring; the product of two labels
 decomposes by a closed-form table of nineteen cases, implemented in
 :func:`mul_labels` and extended bilinearly by :func:`mul`.
+
+A :class:`Label` is a tuple ``(kind, r, s, eta)`` and an :class:`Eta` a
+tuple ``(value,)``; their public constructors, ``_make`` and ``_replace``
+validate.  The products are built by ``_label`` and the residue-indexed
+tables, which skip that validation.  That is safe because every field comes
+from valid labels: a residue is a sum of residues reduced mod 2, a size is a
+size of a factor, a sum of two, or a difference that ``_omega`` turns into
+the right kind, and an eta is copied from a band factor.  :func:`mul`,
+:func:`dual` and the homomorphisms only sum, so they iterate the
+coefficient map unsorted; only ``terms()`` sorts, for output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import IntEnum
 from fractions import Fraction
 
-from ._linear import LinearCombination
+from ._linear import BasisTuple, LinearCombination
 
 
 class LabelKind(IntEnum):
@@ -36,15 +46,29 @@ class LabelKind(IntEnum):
     BAND = 5
 
 
-@dataclass(frozen=True)
-class Eta:
+_tuple_new = tuple.__new__
+_EtaFields = namedtuple("Eta", "value", defaults=(None,))
+_LabelFields = namedtuple("Label", "kind r s eta", defaults=(0, None))
+
+
+class Eta(BasisTuple, _EtaFields):
     """Point of the rational projective line; ``value is None`` encodes oo.
 
-    Finite points are kept as exact fractions (lowest terms, positive
-    denominator, which ``Fraction`` guarantees).
+    A one-field tuple ``(value,)``.  Finite points are kept as exact
+    fractions (lowest terms, positive denominator, which ``Fraction``
+    guarantees); the constructor turns an int into one and rejects any
+    other type.  Equality and hashing are the tuple's; the order is
+    ``sort_key``'s.
     """
 
-    value: Fraction | None = None
+    __slots__ = ()
+
+    def __new__(cls, value: Fraction | int | None = None):
+        if value is not None and type(value) is not Fraction:
+            if not isinstance(value, (int, Fraction)):
+                raise ValueError(f"eta must be a Fraction, an int or None, got {value!r}")
+            value = Fraction(value)
+        return _tuple_new(cls, (value,))
 
     @property
     def is_infinite(self) -> bool:
@@ -52,7 +76,8 @@ class Eta:
 
     def sort_key(self):
         # oo sorts after every rational
-        return (1, Fraction(0)) if self.value is None else (0, self.value)
+        v = self.value
+        return (1, 0) if v is None else (0, v)
 
     def __str__(self) -> str:
         return "oo" if self.value is None else str(self.value)
@@ -73,49 +98,57 @@ def eta(x) -> Eta:
     return Eta(Fraction(x))
 
 
-@dataclass(frozen=True)
-class Label:
-    """Canonical name of one indecomposable module."""
+_STRING_KINDS = (LabelKind.SYZYGY, LabelKind.COSYZYGY, LabelKind.BAND)
+# str(label) by kind; the fields are kind, r, s and eta, in that order
+_LABEL_FORMATS = ("V({1})", "V(2,{1})", "P({1})", "O^{2}V({1})", "O^-{2}V({1})", "M_{2}({1},{3})")
 
-    kind: LabelKind
-    r: int
-    s: int = 0
-    eta: Eta | None = None
 
-    def __post_init__(self):
-        if self.r not in (0, 1):
-            raise ValueError(f"residue must be 0 or 1, got {self.r}")
-        if self.kind in (LabelKind.SYZYGY, LabelKind.COSYZYGY, LabelKind.BAND):
-            if self.s < 1:
-                raise ValueError(f"{self.kind.name} needs s >= 1, got {self.s}")
-        elif self.s:
-            raise ValueError(f"{self.kind.name} does not take s")
-        if self.kind is LabelKind.BAND:
-            if not isinstance(self.eta, Eta):
+class Label(BasisTuple, _LabelFields):
+    """Canonical name of one indecomposable module.
+
+    A tuple ``(kind, r, s, eta)``.  The constructor validates, and turns a
+    kind given by its value into the ``LabelKind`` member.  Equality and
+    hashing are the tuple's, but the canonical order is ``sort_key``, not
+    the tuple's field order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: LabelKind, r: int, s: int = 0, eta: Eta | None = None):
+        if r not in (0, 1):
+            raise ValueError(f"residue must be 0 or 1, got {r}")
+        if type(kind) is not LabelKind:
+            # products dispatch on kind by identity
+            kind = LabelKind(kind)
+        if kind in _STRING_KINDS:
+            if s < 1:
+                raise ValueError(f"{kind.name} needs s >= 1, got {s}")
+        elif s:
+            raise ValueError(f"{kind.name} does not take s")
+        if kind is LabelKind.BAND:
+            if not isinstance(eta, Eta):
                 raise ValueError("band label needs an Eta parameter")
-        elif self.eta is not None:
-            raise ValueError(f"{self.kind.name} does not take eta")
+        elif eta is not None:
+            raise ValueError(f"{kind.name} does not take eta")
+        return _tuple_new(cls, (kind, r, s, eta))
 
     def sort_key(self):
-        ek = self.eta.sort_key() if self.eta is not None else (0, Fraction(0))
-        return (int(self.kind), self.s, self.r, ek)
-
-    def __lt__(self, other: "Label") -> bool:
-        return self.sort_key() < other.sort_key()
+        e = self.eta
+        return (self.kind, self.s, self.r, (0, 0) if e is None else e.sort_key())
 
     def __str__(self) -> str:
-        k = self.kind
-        if k is LabelKind.SIMPLE_ONE:
-            return f"V({self.r})"
-        if k is LabelKind.SIMPLE_TWO:
-            return f"V(2,{self.r})"
-        if k is LabelKind.PROJECTIVE:
-            return f"P({self.r})"
-        if k is LabelKind.SYZYGY:
-            return f"O^{self.s}V({self.r})"
-        if k is LabelKind.COSYZYGY:
-            return f"O^-{self.s}V({self.r})"
-        return f"M_{self.s}({self.r},{self.eta})"
+        return _LABEL_FORMATS[self.kind].format(*self)
+
+
+def _label(kind: LabelKind, r: int, s: int = 0, e: Eta | None = None) -> Label:
+    """Label without validation, for labels built from valid ones."""
+    return _tuple_new(Label, (kind, r, s, e))
+
+
+# the fixed labels, indexed by residue
+_SIMPLE_ONE = (_label(LabelKind.SIMPLE_ONE, 0), _label(LabelKind.SIMPLE_ONE, 1))
+_SIMPLE_TWO = (_label(LabelKind.SIMPLE_TWO, 0), _label(LabelKind.SIMPLE_TWO, 1))
+_PROJECTIVE = (_label(LabelKind.PROJECTIVE, 0), _label(LabelKind.PROJECTIVE, 1))
 
 
 def simple_one(r: int) -> Label:
@@ -139,6 +172,15 @@ def omega(s: int, r: int) -> Label:
     return simple_one(r)
 
 
+def _omega(s: int, r: int) -> Label:
+    """omega without validation; r must be 0 or 1."""
+    if s > 0:
+        return _label(LabelKind.SYZYGY, r, s)
+    if s < 0:
+        return _label(LabelKind.COSYZYGY, r, -s)
+    return _SIMPLE_ONE[r]
+
+
 def band(s: int, r: int, e) -> Label:
     return Label(LabelKind.BAND, r % 2, s, eta(e))
 
@@ -159,89 +201,83 @@ def _dispatch(l1: Label, l2: Label) -> tuple[str, list[tuple[Label, int]]]:
     """Case name and decomposition terms for a product of two labels.
 
     The table is symmetric; pairs are normalised so the smaller variant
-    rank comes first.  All residue arithmetic is mod 2.
+    rank comes first.  All residue arithmetic is mod 2.  Output labels are
+    built without validation, as the module docstring allows.
     """
     if l1.kind > l2.kind:
         l1, l2 = l2, l1
     k1, k2 = l1.kind, l2.kind
-    r, rp = l1.r, l2.r
-    rs = (r + rp) % 2
+    rs = (l1.r + l2.r) % 2
     K = LabelKind
+    P = _PROJECTIVE
+    V2 = _SIMPLE_TWO
 
     if k1 is K.SIMPLE_ONE:
         # V(r) shifts the residue of any label
         if k2 is K.SIMPLE_ONE:
-            return "C1", [(simple_one(rs), 1)]
+            return "C1", [(_SIMPLE_ONE[rs], 1)]
         if k2 is K.SIMPLE_TWO:
-            return "C2", [(simple_two(rs), 1)]
+            return "C2", [(V2[rs], 1)]
         if k2 is K.PROJECTIVE:
-            return "C3", [(projective(rs), 1)]
-        if k2 is K.SYZYGY:
-            return "C4", [(omega(l2.s, rs), 1)]
-        if k2 is K.COSYZYGY:
-            return "C4", [(omega(-l2.s, rs), 1)]
-        return "C5", [(band(l2.s, rs, l2.eta), 1)]
+            return "C3", [(P[rs], 1)]
+        if k2 is K.BAND:
+            return "C5", [(_label(k2, rs, l2.s, l2.eta), 1)]
+        return "C4", [(_label(k2, rs, l2.s), 1)]
 
     if k1 is K.SIMPLE_TWO:
         if k2 is K.SIMPLE_TWO:
-            return "C6", [(projective(rs + 1), 1)]
+            return "C6", [(P[rs ^ 1], 1)]
         if k2 is K.PROJECTIVE:
-            return "C9", [(simple_two(0), 2), (simple_two(1), 2)]
-        if k2 in (K.SYZYGY, K.COSYZYGY):
-            s = l2.s
-            if s % 2:
-                return "C7", [(simple_two(rs), s), (simple_two(rs + 1), s + 1)]
-            return "C7", [(simple_two(rs + 1), s), (simple_two(rs), s + 1)]
+            return "C9", [(V2[0], 2), (V2[1], 2)]
         s = l2.s
-        return "C8", [(simple_two(0), s), (simple_two(1), s)]
+        if k2 is K.BAND:
+            return "C8", [(V2[0], s), (V2[1], s)]
+        if s % 2:
+            return "C7", [(V2[rs], s), (V2[rs ^ 1], s + 1)]
+        return "C7", [(V2[rs ^ 1], s), (V2[rs], s + 1)]
 
     if k1 is K.PROJECTIVE:
         if k2 is K.PROJECTIVE:
-            return "C12", [(projective(0), 2), (projective(1), 2)]
-        if k2 in (K.SYZYGY, K.COSYZYGY):
-            s = l2.s
-            if s % 2:
-                return "C10", [(projective(rs), s), (projective(rs + 1), s + 1)]
-            return "C10", [(projective(rs + 1), s), (projective(rs), s + 1)]
+            return "C12", [(P[0], 2), (P[1], 2)]
         s = l2.s
-        return "C11", [(projective(0), s), (projective(1), s)]
+        if k2 is K.BAND:
+            return "C11", [(P[0], s), (P[1], s)]
+        if s % 2:
+            return "C10", [(P[rs], s), (P[rs ^ 1], s + 1)]
+        return "C10", [(P[rs ^ 1], s), (P[rs], s + 1)]
 
     if k1 is K.SYZYGY:
-        s = l1.s
+        s, t = l1.s, l2.s
         if k2 is K.SYZYGY:
-            t = l2.s
-            return "C13", [(omega(s + t, rs), 1), (projective(rs + (s + t)), s * t)]
+            return "C13", [(_label(K.SYZYGY, rs, s + t), 1), (P[(rs + s + t) % 2], s * t)]
         if k2 is K.COSYZYGY:
-            t = l2.s
             mult = (max(s, t) + 1) * min(s, t)
-            return "C15", [(omega(s - t, rs), 1), (projective(rs + s + t + 1), mult)]
+            return "C15", [(_omega(s - t, rs), 1), (P[(rs + s + t + 1) % 2], mult)]
         # band times syzygy
-        t = l2.s
         if s % 2:
-            return "C16", [(projective(rs), s * t), (band(t, rs + 1, l2.eta), 1)]
-        return "C16", [(projective(rs + 1), s * t), (band(t, rs, l2.eta), 1)]
+            return "C16", [(P[rs], s * t), (_label(K.BAND, rs ^ 1, t, l2.eta), 1)]
+        return "C16", [(P[rs ^ 1], s * t), (_label(K.BAND, rs, t, l2.eta), 1)]
 
     if k1 is K.COSYZYGY:
-        s = l1.s
+        s, t = l1.s, l2.s
         if k2 is K.COSYZYGY:
-            t = l2.s
-            return "C14", [(omega(-(s + t), rs), 1), (projective(rs + (s + t)), s * t)]
+            return "C14", [(_label(K.COSYZYGY, rs, s + t), 1), (P[(rs + s + t) % 2], s * t)]
         # band times cosyzygy
-        t = l2.s
         if s % 2:
-            return "C17", [(projective(rs + 1), s * t), (band(t, rs + 1, l2.eta), 1)]
-        return "C17", [(projective(rs), s * t), (band(t, rs, l2.eta), 1)]
+            return "C17", [(P[rs ^ 1], s * t), (_label(K.BAND, rs ^ 1, t, l2.eta), 1)]
+        return "C17", [(P[rs], s * t), (_label(K.BAND, rs, t, l2.eta), 1)]
 
     # band times band
     s, t = l1.s, l2.s
-    if l1.eta != l2.eta:
-        return "C18", [(projective(rs), s * t)]
+    e = l1.eta
+    if e != l2.eta:
+        return "C18", [(P[rs], s * t)]
     if s > t:
         s, t = t, s
     return "C19", [
-        (projective(rs), s * (t - 1)),
-        (band(s, 0, l1.eta), 1),
-        (band(s, 1, l1.eta), 1),
+        (P[rs], s * (t - 1)),
+        (_label(K.BAND, 0, s, e), 1),
+        (_label(K.BAND, 1, s, e), 1),
     ]
 
 
@@ -257,10 +293,11 @@ def case_name(l1: Label, l2: Label) -> str:
 
 def mul(e1: GreenElement, e2: GreenElement) -> GreenElement:
     """Bilinear extension of mul_labels."""
+    right = e2._coeffs.items()
     return GreenElement(
         (label, ca * cb * k)
-        for la, ca in e1.terms()
-        for lb, cb in e2.terms()
+        for la, ca in e1._coeffs.items()
+        for lb, cb in right
         for label, k in _dispatch(la, lb)[1]
     )
 
@@ -268,20 +305,21 @@ def mul(e1: GreenElement, e2: GreenElement) -> GreenElement:
 def dual_label(label: Label) -> Label:
     """Dual module label: an involution on the basis."""
     K = LabelKind
-    if label.kind is K.SIMPLE_TWO:
-        return simple_two(label.r + 1)
-    if label.kind is K.SYZYGY:
-        return omega(-label.s, label.r)
-    if label.kind is K.COSYZYGY:
-        return omega(label.s, label.r)
-    if label.kind is K.BAND:
-        return band(label.s, label.r + 1, label.eta)
+    kind = label.kind
+    if kind is K.SIMPLE_TWO:
+        return _SIMPLE_TWO[label.r ^ 1]
+    if kind is K.SYZYGY:
+        return _label(K.COSYZYGY, label.r, label.s)
+    if kind is K.COSYZYGY:
+        return _label(K.SYZYGY, label.r, label.s)
+    if kind is K.BAND:
+        return _label(K.BAND, label.r ^ 1, label.s, label.eta)
     return label
 
 
 def dual(e: GreenElement) -> GreenElement:
     """Ring involution induced by module duality."""
-    return GreenElement((dual_label(l), c) for l, c in e.terms())
+    return GreenElement((dual_label(l), c) for l, c in e._coeffs.items())
 
 
 def label_dimension(label: Label) -> int:
@@ -299,7 +337,7 @@ def label_dimension(label: Label) -> int:
 
 def dimension(e: GreenElement) -> int:
     """Linear extension of label_dimension; a ring homomorphism to Z."""
-    return sum(c * label_dimension(l) for l, c in e.terms())
+    return sum(c * label_dimension(l) for l, c in e._coeffs.items())
 
 
 def composition_factors(label: Label) -> tuple[int, int, int, int]:
@@ -332,7 +370,7 @@ def composition_factors(label: Label) -> tuple[int, int, int, int]:
 def grothendieck_image(e: GreenElement) -> tuple[int, int, int, int]:
     """Image in the Grothendieck group, as factor multiplicities."""
     out = [0, 0, 0, 0]
-    for l, c in e.terms():
+    for l, c in e._coeffs.items():
         for i, m in enumerate(composition_factors(l)):
             out[i] += c * m
     return tuple(out)

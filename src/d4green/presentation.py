@@ -31,7 +31,7 @@ from collections import namedtuple
 from enum import IntEnum
 from typing import NamedTuple
 
-from ._linear import LinearCombination
+from ._linear import BasisTuple, LinearCombination
 from .green import (
     Eta,
     GreenElement,
@@ -57,9 +57,10 @@ class PresKind(IntEnum):
 
 _tuple_new = tuple.__new__
 _PresFields = namedtuple("PresMonomial", "g kind n eta")
+_CORES = ("1", "x", "x^2", "y", "z")  # the core of each kind but BAND
 
 
-class PresMonomial(_PresFields):
+class PresMonomial(BasisTuple, _PresFields):
     """One basis monomial: a core generator power times an optional g.
 
     A tuple ``(g, kind, n, eta)``.  The constructor validates; equality and
@@ -87,39 +88,20 @@ class PresMonomial(_PresFields):
             raise ValueError(f"{kind.name} does not take eta")
         return _tuple_new(cls, (g, kind, n, eta))
 
-    @classmethod
-    def _make(cls, iterable) -> "PresMonomial":
-        # namedtuple's _make (and so _replace) would skip validation
-        return cls(*iterable)
-
     def sort_key(self):
         ek = self.eta.sort_key() if self.eta is not None else (0, 0)
         return (int(self.kind), self.n, ek, self.g)
 
-    def __lt__(self, other: "PresMonomial") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __le__(self, other: "PresMonomial") -> bool:
-        return self.sort_key() <= other.sort_key()
-
-    def __gt__(self, other: "PresMonomial") -> bool:
-        return self.sort_key() > other.sort_key()
-
-    def __ge__(self, other: "PresMonomial") -> bool:
-        return self.sort_key() >= other.sort_key()
-
     def __str__(self) -> str:
-        core = {
-            PresKind.ONE: "1",
-            PresKind.X: "x",
-            PresKind.X2: "x^2",
-            PresKind.Y: f"y^{self.n}" if self.n > 1 else "y",
-            PresKind.Z: f"z^{self.n}" if self.n > 1 else "z",
-            PresKind.BAND: f"X_{{{self.n},{self.eta}}}",
-        }[self.kind]
+        kind, n = self.kind, self.n
+        if kind is PresKind.BAND:
+            core = f"X_{{{n},{self.eta}}}"
+        else:
+            # only y and z take n, and print it from 2 on
+            core = _CORES[kind] if n < 2 else f"{_CORES[kind]}^{n}"
         if not self.g:
             return core
-        return "g" if self.kind is PresKind.ONE else f"g*{core}"
+        return "g" if kind is PresKind.ONE else f"g*{core}"
 
 
 def _mono(g: int, kind: PresKind, n: int = 0, e: Eta | None = None) -> PresMonomial:
@@ -311,56 +293,54 @@ def nf_mul(p: PresElement, q: PresElement) -> PresElement:
 # -- isomorphism with the label model ------------------------------------
 
 
-def _monomial_to_green(m: PresMonomial) -> GreenElement:
+def _monomial_to_green(m: PresMonomial) -> list[tuple[Label, int]]:
     K = PresKind
     g = m.g
     if m.kind is K.ONE:
-        return GreenElement.from_label(simple_one(g))
+        return [(simple_one(g), 1)]
     if m.kind is K.X:
-        return GreenElement.from_label(simple_two(g))
+        return [(simple_two(g), 1)]
     if m.kind is K.X2:
         # x^2 = [P(1)], gx^2 = [P(0)]
-        return GreenElement.from_label(projective(1 - g))
+        return [(projective(1 - g), 1)]
     if m.kind is K.BAND:
-        return GreenElement.from_label(band(m.n, g, m.eta))
+        return [(band(m.n, g, m.eta), 1)]
     c0, c1 = f_poly(m.n)
     s = m.n if m.kind is K.Y else -m.n
     if g:
         # g*(y^n) = [O^n V(1)] + c1*[P(1)] + c0*[P(0)]
-        return GreenElement(
-            [(omega(s, 1), 1), (projective(1), c1), (projective(0), c0)]
-        )
-    return GreenElement([(omega(s, 0), 1), (projective(1), c0), (projective(0), c1)])
+        return [(omega(s, 1), 1), (projective(1), c1), (projective(0), c0)]
+    return [(omega(s, 0), 1), (projective(1), c0), (projective(0), c1)]
 
 
 def to_green(p: PresElement) -> GreenElement:
     """Image of a normal form under the ring isomorphism onto the label model."""
     return GreenElement(
-        (label, c * k) for m, c in p.terms() for label, k in _monomial_to_green(m).terms()
+        (label, c * k) for m, c in p._coeffs.items() for label, k in _monomial_to_green(m)
     )
 
 
-def _label_to_pres(label: Label) -> PresElement:
+def _label_to_pres(label: Label) -> list[tuple[PresMonomial, int]]:
     K = LabelKind
     r = label.r
     if label.kind is K.SIMPLE_ONE:
-        return PresElement.from_monomial(mono_one(r))
+        return [(mono_one(r), 1)]
     if label.kind is K.SIMPLE_TWO:
-        return PresElement.from_monomial(mono_x(r))
+        return [(mono_x(r), 1)]
     if label.kind is K.PROJECTIVE:
         # [P(1)] = x^2, [P(0)] = gx^2
-        return PresElement.from_monomial(mono_x2(1 - r))
+        return [(mono_x2(1 - r), 1)]
     if label.kind is K.BAND:
-        return PresElement.from_monomial(mono_band(label.s, label.eta, r))
+        return [(mono_band(label.s, label.eta, r), 1)]
     c0, c1 = f_poly(label.s)
     power = mono_y(label.s, r) if label.kind is K.SYZYGY else mono_z(label.s, r)
     if r:
-        return PresElement([(power, 1), (mono_x2(1), -c0), (mono_x2(), -c1)])
-    return PresElement([(power, 1), (mono_x2(), -c0), (mono_x2(1), -c1)])
+        return [(power, 1), (mono_x2(1), -c0), (mono_x2(), -c1)]
+    return [(power, 1), (mono_x2(), -c0), (mono_x2(1), -c1)]
 
 
 def from_green(e: GreenElement) -> PresElement:
     """Normal form of a label-model element; exact inverse of to_green."""
     return PresElement(
-        (m, c * k) for label, c in e.terms() for m, k in _label_to_pres(label).terms()
+        (m, c * k) for label, c in e._coeffs.items() for m, k in _label_to_pres(label)
     )

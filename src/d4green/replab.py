@@ -44,10 +44,9 @@ The decomposition works on the (b, c) weight spaces:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .green import (
@@ -135,8 +134,7 @@ class Representation:
         return "Representation({})".format(", ".join(map(repr, self.generators())))
 
 
-@dataclass(frozen=True)
-class RMatrixElement:
+class RMatrixElement(NamedTuple):
     """Universal braiding element: integer tensor words over a common denominator.
 
     Each term is ((i,j,l,k), (i',j',l',k'), coefficient) standing for the
@@ -698,18 +696,54 @@ def _poly_eval(poly: list[int], x: int) -> int:
     return acc
 
 
-def _poly_divmod(num: list, den: list) -> tuple[list, list]:
-    """Quotient and remainder over Q; coefficients low to high, no trailing zeros."""
-    rem = [Fraction(c) for c in num]
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+def _pseudo_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of |l|^k num by den on ints, with l the leading
+    coefficient of den and k = deg num - deg den + 1 steps; coefficients low
+    to high, no trailing zeros in the remainder.
+
+    The factor |l|^k is positive, so both keep the signs of the quotient and
+    remainder over Q; for a monic den they are the quotient and remainder.
+    """
+    rem, quo = list(num), [0] * max(len(num) - len(den) + 1, 0)
+    lead, m = den[-1], len(den) - 1
     for shift in reversed(range(len(quo))):
-        q = quo[shift] = rem[shift + len(den) - 1] / den[-1]
+        # rem <- lead * rem - q x^shift den, which clears its degree shift + m term
+        q = rem[shift + m]
+        if lead != 1:
+            rem = [lead * c for c in rem]
+            quo = [lead * c for c in quo]
+        quo[shift] = q
         for i, c in enumerate(den):
             rem[shift + i] -= q * c
-    rem = rem[: len(den) - 1]
+    if lead < 0 and len(quo) % 2:
+        rem, quo = [-c for c in rem], [-c for c in quo]
+    rem = rem[:m]
     while rem and not rem[-1]:
         rem.pop()
     return quo, rem
+
+
+def _primitive(poly: list[int]) -> list[int]:
+    """poly divided by the positive gcd of its coefficients."""
+    g = gcd(*poly)
+    return [c // g for c in poly] if g > 1 else poly
+
+
+def _squarefree(poly: list[int]) -> list[int]:
+    """Square-free part p / gcd(p, p') of a monic integer polynomial p.
+
+    gcd(p, p') comes from the primitive remainder sequence: each pseudo-
+    remainder is divided by the gcd of its coefficients, so every step stays
+    on ints.  By Gauss's lemma the primitive gcd, taken with a positive
+    leading coefficient, divides the monic p over Z, so it is monic and the
+    quotient is exact.
+    """
+    a, b = poly, _primitive(_derivative(poly))
+    while b:
+        a, b = b, _primitive(_pseudo_divmod(a, b)[1])
+    if a[-1] < 0:
+        a = [-c for c in a]
+    return _pseudo_divmod(poly, a)[0]
 
 
 def _derivative(poly: list) -> list:
@@ -736,18 +770,16 @@ def _integer_roots(h: list[int]) -> list[int]:
     """Integer roots of a square-free monic integer polynomial of degree >= 1.
 
     Sturm's theorem counts the real roots in (lo, hi] as the drop in sign
-    changes from lo to hi.  Each remainder is scaled by the positive lcm of
-    its denominators before the next division, which it scales as a dividend
-    only, so the sequence keeps its signs and is evaluated on ints.
+    changes from lo to hi.  The sequence is built on ints: each pseudo-
+    remainder is scaled only by positive factors, the one of _pseudo_divmod
+    and the division by the gcd of its coefficients, so it keeps its signs.
     Bisection on integers, starting from the Cauchy bound, keeps only
     intervals that hold a real root; each unit interval left is one
     candidate, its right end, tested exactly with _poly_eval.
     """
     seq = [h, _derivative(h)]
     while len(seq[-1]) > 1:
-        rem = _poly_divmod(seq[-2], seq[-1])[1]
-        den = lcm(*(c.denominator for c in rem))
-        seq.append([-int(c * den) for c in rem])
+        seq.append([-c for c in _primitive(_pseudo_divmod(seq[-2], seq[-1])[1])])
     bound = 1 + max(abs(c) for c in h[:-1])
     found = []
     todo = [(-bound, _sign_changes(seq, -bound), bound, _sign_changes(seq, bound))]
@@ -782,12 +814,8 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     entries = phi.entries()
     scale = lcm(*(x.denominator for x in entries.values()))
     lphi = RatMatrix.from_entries(m, m, {key: x * scale for key, x in entries.items()})
-    poly = _charpoly(lphi)
-    gcd, rem = poly, _derivative(poly)
-    while rem:
-        gcd, rem = rem, _poly_divmod(gcd, rem)[1]
-    free = _poly_divmod(poly, gcd)[0]
-    roots = _integer_roots([int(c / free[-1]) for c in free])
+    # L phi is integral, so every coefficient is a Fraction with denominator 1
+    roots = _integer_roots(_squarefree([c.numerator for c in _charpoly(lphi)]))
 
     blocks: list[tuple[Fraction, list[int]]] = []
     total = 0

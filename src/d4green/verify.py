@@ -20,7 +20,6 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from dataclasses import dataclass, field
 
 from . import green
 from . import replab
@@ -43,13 +42,18 @@ from .presentation import (
 DEFAULT_ETAS = (eta(0), eta(1), ETA_INF)
 
 
-@dataclass
 class Report:
-    scope: str
-    header: str
-    lines: list[str] = field(default_factory=list)
-    failures: list[str] = field(default_factory=list)
-    checks: int = 0
+    """What one scope checked: its header and info lines, every failure,
+    and the number of checks."""
+
+    __slots__ = ("scope", "header", "lines", "failures", "checks")
+
+    def __init__(self, scope: str, header: str, checks: int = 0):
+        self.scope = scope
+        self.header = header
+        self.lines: list[str] = []
+        self.failures: list[str] = []
+        self.checks = checks
 
     @property
     def passed(self) -> bool:

@@ -165,6 +165,15 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
+    # labels, reports and the braiding element are tuples or slotted classes
+    probe = "import sys, d4green.cli, d4green.verify, d4green.replab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(), timeout=120, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("scope", ["table", "presentation", "braiding", "all"])
 @pytest.mark.parametrize("etas, repeated", [("1,1", "1"), ("1,2/2", "1"), ("0,-0", "0"), ("0,oo,5/7,oo", "oo")])
 def test_repeated_eta_exits_2(capsys, scope, etas, repeated):

@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import green_elements, labels
+from d4green import grammar
 from d4green.grammar import (
     ParseError,
     element_to_json,
@@ -250,3 +252,99 @@ def test_json_kind_strings_of_every_monomial_kind():
     assert {m.kind for m in PRES_KINDS} == set(PresKind)
     for m, kind in PRES_KINDS.items():
         assert pres_monomial_to_json(m)["kind"] == kind
+
+
+# -- the term patterns against the step-by-step reader ------------------------
+
+NEVER = re.compile(r"(?!)")
+WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]  # U+3000 is the last one
+# literals the reader takes whole, then digit runs, then any single character
+TOKEN = re.compile(r"V\(2,|V\(|P\(|O\^|M_|X_\{|oo|[0-9]+|.", re.S)
+MUTATIONS = list("0123456789+-*^/[](){},_VPOMXgxyzo ") + ["١", "²", "\x1c", "　"]
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return str(err), err.pos
+
+
+@st.composite
+def pres_words(draw):
+    """Signed sums of products of generators with small powers, and optional coefficients."""
+    factor = st.tuples(
+        st.sampled_from(["1", "g", "x", "y", "z", "X_{2,5/7}", "X_{1,-2}", "X_{3,oo}"]),
+        st.sampled_from(["", "^0", "^1", "^2", "^3"]),
+    ).map("".join)
+    coeff = st.sampled_from(["", "0*", "1*", "2*", "01*", "12*"])
+    term = st.tuples(coeff, st.lists(factor, min_size=1, max_size=3).map("*".join)).map("".join)
+    text = draw(st.sampled_from(["", "-", "+"])) + draw(term)
+    for more in draw(st.lists(st.tuples(st.sampled_from([" + ", " - "]), term), max_size=2)):
+        text += "".join(more)
+    return text
+
+
+@st.composite
+def grammar_inputs(draw):
+    """(parser, text, expected element or None): a rendered element, re-spaced
+    between tokens (same element) or mutated by single characters (None)."""
+    parse, text = draw(
+        st.one_of(
+            green_elements(max_s=12).map(lambda e: (parse_element, render_element(e))),
+            pres_elements().map(lambda p: (parse_pres_element, render_pres_element(p))),
+            pres_words().map(lambda w: (parse_pres_element, w)),
+        )
+    )
+    expected = parse(text)
+    if draw(st.booleans()):
+        ws = st.lists(st.sampled_from(WHITESPACE), max_size=2).map("".join)
+        tokens = TOKEN.findall(text)
+        spaced = "".join(draw(ws) + tok for tok in tokens if not tok.isspace()) + draw(ws)
+        return parse, spaced, expected
+    chars = list(text)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(chars)))
+        op = draw(st.sampled_from(["insert", "delete", "replace"]))
+        if op == "insert":
+            chars.insert(i, draw(st.sampled_from(MUTATIONS)))
+        elif chars and i < len(chars):
+            if op == "delete":
+                del chars[i]
+            else:
+                chars[i] = draw(st.sampled_from(MUTATIONS))
+    return parse, "".join(chars), None
+
+
+@given(grammar_inputs())
+@settings(max_examples=400, deadline=None)
+def test_term_patterns_agree_with_the_reader(case):
+    parse, text, expected = case
+    fast = outcome(parse, text)
+    with pytest.MonkeyPatch.context() as mp:
+        # the reader alone: neither pattern matches anything
+        mp.setattr(grammar, "_LABEL_TERM", NEVER)
+        mp.setattr(grammar, "_PRES_TERM", NEVER)
+        slow = outcome(parse, text)
+    assert fast == slow
+    if expected is not None:
+        assert fast == expected
+
+
+@given(
+    st.one_of(
+        green_elements(max_s=12).map(lambda e: (parse_element, render_element, e)),
+        pres_elements().map(lambda p: (parse_pres_element, render_pres_element, p)),
+    )
+)
+@settings(max_examples=100)
+def test_rendered_terms_never_reach_the_reader(case):
+    parse, render, e = case
+
+    def refuse(cur):
+        raise AssertionError("the reader read a rendered term")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grammar, "_parse_label_term", refuse)
+        mp.setattr(grammar, "_parse_pres_term", refuse)
+        assert parse(render(e)) == e

@@ -1,4 +1,7 @@
+import copy
 import itertools
+import pickle
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -6,6 +9,7 @@ from hypothesis import given, settings
 from conftest import ETA_POOL, green_elements, labels
 from d4green.green import (
     ETA_INF,
+    Eta,
     GreenElement,
     Label,
     LabelKind,
@@ -42,6 +46,73 @@ def test_label_validation():
     with pytest.raises(ValueError):
         Label(LabelKind.SIMPLE_ONE, 2)
     assert omega(0, 1) == simple_one(1)
+
+
+def test_label_kind_is_coerced_to_the_enum():
+    # a kind given by its value used to print as M_1(0,None) and break _dispatch's identity tests
+    label = Label(3, 0, 1)
+    assert type(label.kind) is LabelKind and label.kind is LabelKind.SYZYGY
+    assert str(label) == "O^1V(0)"
+    assert mul_labels(label, simple_one(0)) == el((omega(1, 0), 1))
+    with pytest.raises(ValueError):
+        Label(7, 0)
+
+
+SAMPLE_ETAS = [eta(0), eta("5/7"), eta(-2), ETA_INF]
+EVERY_KIND = [simple_one(1), simple_two(0), projective(1), omega(2, 0), omega(-3, 1)] + [
+    band(2, 1, e) for e in SAMPLE_ETAS
+]
+
+
+@pytest.mark.parametrize("label", EVERY_KIND, ids=str)
+def test_labels_survive_pickle_and_copy(label):
+    for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):
+        assert type(twin) is Label and twin == label and hash(twin) == hash(label)
+        assert type(twin.kind) is LabelKind and str(twin) == str(label)
+        if label.eta is not None:
+            assert type(twin.eta) is Eta and twin.eta.value == label.eta.value
+
+
+@pytest.mark.parametrize("e", SAMPLE_ETAS, ids=str)
+def test_etas_survive_pickle_and_copy(e):
+    for twin in (pickle.loads(pickle.dumps(e)), copy.copy(e), copy.deepcopy(e)):
+        assert type(twin) is Eta and twin == e and hash(twin) == hash(e) and str(twin) == str(e)
+
+
+def test_label_and_eta_order_is_sort_key():
+    # the tuples' own field order (r before s) must not leak into comparisons
+    for values in (EVERY_KIND + [omega(1, 1), band(1, 0, 3)], SAMPLE_ETAS):
+        assert sorted(values) == sorted(values, key=lambda v: v.sort_key())
+        for a in values:
+            for b in values:
+                ka, kb = a.sort_key(), b.sort_key()
+                assert (a < b, a > b, a <= b, a >= b, a == b) == (ka < kb, ka > kb, ka <= kb, ka >= kb, ka == kb)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: omega(2, 0)._replace(s=0), "SYZYGY needs s >= 1"),
+        (lambda: simple_one(0)._replace(r=2), "residue must be 0 or 1"),
+        (lambda: projective(0)._replace(s=1), "PROJECTIVE does not take s"),
+        (lambda: simple_two(1)._replace(eta=ETA_INF), "SIMPLE_TWO does not take eta"),
+        (lambda: band(1, 0, 0)._replace(eta=None), "band label needs an Eta parameter"),
+        (lambda: band(1, 0, 0)._replace(kind=7), "7 is not a valid LabelKind"),
+        (lambda: Label._make((LabelKind.COSYZYGY, 0, -1, None)), "COSYZYGY needs s >= 1"),
+        (lambda: ETA_INF._replace(value=0.5), "eta must be a Fraction, an int or None"),
+        (lambda: Eta("1/2"), "eta must be a Fraction, an int or None"),
+    ],
+)
+def test_replace_and_make_validate(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_replace_and_make_build_valid_labels():
+    assert omega(2, 0)._replace(s=3) == omega(3, 0)
+    assert band(1, 0, 0)._replace(eta=ETA_INF) == band(1, 0, ETA_INF)
+    assert Label._make((LabelKind.PROJECTIVE, 1, 0, None)) == projective(1)
+    assert Eta(2) == eta(2) and type(Eta(2).value) is Fraction
 
 
 def test_canonical_order():

@@ -457,6 +457,46 @@ def test_integer_roots_are_exactly_the_integer_roots(roots, with_unit_circle):
     assert sorted(replab._integer_roots(poly)) == sorted(roots)
 
 
+def _euclid_squarefree(poly):
+    """p / gcd(p, p') by Euclid over Q, made monic: the reference for _squarefree."""
+
+    def divmod_q(num, den):
+        rem, quo = [Fraction(c) for c in num], [Fraction(0)] * (len(num) - len(den) + 1)
+        for shift in reversed(range(len(quo))):
+            q = quo[shift] = rem[shift + len(den) - 1] / den[-1]
+            for i, c in enumerate(den):
+                rem[shift + i] -= q * c
+        rem = rem[: len(den) - 1]
+        while rem and not rem[-1]:
+            rem.pop()
+        return quo, rem
+
+    a, b = poly, [i * c for i, c in enumerate(poly)][1:]
+    while b:
+        a, b = b, divmod_q(a, b)[1]
+    free = divmod_q(poly, a)[0]
+    return [c / free[-1] for c in free]
+
+
+@given(
+    st.lists(st.tuples(st.integers(-30, 30), st.integers(1, 4)), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(-5, 5), st.integers(1, 5), st.integers(1, 3)), max_size=2),
+)
+@settings(max_examples=150, deadline=None)
+def test_squarefree_matches_euclid_over_q(linear, quadratic):
+    # monic integer p with repeated linear factors (x - r)^k and quadratic ones (x^2 + bx + c)^k
+    poly = [1]
+    for r, k in linear:
+        for _ in range(k):
+            poly = [x - r * y for x, y in zip([0] + poly, poly + [0])]
+    for b, c, k in quadratic:
+        for _ in range(k):
+            poly = [x + b * y + c * z for x, y, z in zip([0, 0] + poly, [0] + poly + [0], poly + [0, 0])]
+    free = replab._squarefree(poly)
+    assert all(type(c) is int for c in free) and free[-1] == 1
+    assert free == _euclid_squarefree(poly)
+
+
 # -- decomposition -----------------------------------------------------------------
 
 
