@@ -21,13 +21,24 @@ Products of generators are multiplied out, so presentation input need not
 be in normal form.  Rendering always emits canonical order, and parsing a
 rendered element reproduces it exactly.
 
-Whitespace (``str.isspace``) may stand between any two tokens.  Each term is
-read in one match of a compiled pattern of its grammar, sign included.  A
-term that the pattern does not match, or whose fields break a rule the
-pattern does not check, is read again from its sign by the step-by-step
-reader (``_Cursor``).  The reader is the reference: it raises every
-``ParseError``, so messages and positions do not depend on the pattern, and
-both paths build the same element from any term both accept.
+Both grammars are read from one list of tokens: ``V(2,``, ``V(``, ``P(``,
+``O^``, ``M_``, ``X_{``, ``oo``, a run of the digits ``0``-``9``, and any
+other single character that is not whitespace.  Each token is the first of
+these that fits at its place, so ``V(2,`` wins over ``V(``.  Whitespace
+(``str.isspace``) may stand between tokens but not inside one, so
+``V (0)`` and ``1 2`` are errors.  One recursive-descent reader reads the
+tokens for ``parse_element``, ``parse_pres_element`` and ``parse_eta``.
+
+A ``ParseError`` carries ``pos``, a 0-based character offset, and the CLI
+exits 2 with ``error: <message> (at position p)``.  The offset is the start
+of the token where the input breaks the grammar, or the input's length at
+its end, with three exceptions:
+
+- a zero size, or a zero denominator, is reported where ``M_``, ``X_{`` or
+  the ``-`` before it ends, if one does;
+- ``O^sV(2,`` is a residue error at the ``2``;
+- in a product, a number that starts with ``1``, as in ``x*12``, is the
+  unit factor, and the error comes at its second digit.
 """
 
 from __future__ import annotations
@@ -66,258 +77,153 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-# The grammar is 7-bit clean: str.isdigit would also take digits such as '²' or '١'.
+# The tokens of both grammars; a digit is ASCII 0-9 only ('²' and '١' are
+# single tokens), and \S skips exactly what str.isspace calls whitespace.
+_TOKEN = re.compile(r"V\(2,|V\(|P\(|O\^|M_|X_\{|oo|[0-9]+|\S")
 _DIGITS = frozenset("0123456789")
 
 
-class _Cursor:
-    def __init__(self, src: str, pos: int = 0):
+class _Reader:
+    """The tokens of one input and the index ``i`` of the next; "" ends them."""
+
+    __slots__ = ("src", "toks", "i", "cut")
+
+    def __init__(self, src: str):
         self.src = src
-        self.pos = pos
+        self.toks = _TOKEN.findall(src)
+        self.toks.append("")
+        self.i = 0
+        # characters of the next token already read (a '1' taken from a number)
+        self.cut = 0
 
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def fail(self, message: str, i: int | None = None, shift: int = 0):
+        """Raise at ``shift`` characters into token ``i`` (default: the next one)."""
+        starts = [m.start() for m in _TOKEN.finditer(self.src)] + [len(self.src)]
+        raise ParseError(message, starts[self.i if i is None else i] + shift)
 
-    def peek(self) -> str:
-        return self.src[self.pos] if self.pos < len(self.src) else ""
-
-    def at_end(self) -> bool:
-        self.skip_ws()
-        return self.pos >= len(self.src)
-
-    def take(self, literal: str) -> bool:
-        self.skip_ws()
-        if self.src.startswith(literal, self.pos):
-            self.pos += len(literal)
+    def take(self, tok: str) -> bool:
+        if self.toks[self.i] == tok:
+            self.i += 1
             return True
         return False
 
-    def expect(self, literal: str):
-        if not self.take(literal):
-            raise ParseError(f"expected '{literal}'", self.pos)
+    def expect(self, tok: str):
+        if self.toks[self.i] != tok:
+            self.fail(f"expected '{tok}'")
+        self.i += 1
 
     def uint(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected an unsigned integer", start)
-        return int(self.src[start : self.pos])
+        tok = self.toks[self.i]
+        if tok[:1] not in _DIGITS:
+            self.fail("expected an unsigned integer")
+        self.i += 1
+        return int(tok)
+
+    def nonzero(self, message: str, i: int):
+        """Raise for the zero number at token ``i``: where ``M_``, ``X_{`` or a
+        '-' before it ends, or else at the number (toks[-1] is the end, "")."""
+        before = self.toks[i - 1]
+        if before in ("M_", "X_{", "-"):
+            self.fail(message, i - 1, len(before))
+        self.fail(message, i)
+
+    def size(self, message: str) -> int:
+        n = self.uint()
+        if not n:
+            self.nonzero(message, self.i - 1)
+        return n
 
     def residue(self) -> int:
-        self.skip_ws()
-        start = self.pos
         r = self.uint()
-        if r not in (0, 1):
-            raise ParseError("residue must be 0 or 1", start)
+        if r > 1:
+            self.fail("residue must be 0 or 1", self.i - 1)
         return r
 
     def eta(self) -> Eta:
-        self.skip_ws()
         if self.take("oo"):
             return ETA_INF
         neg = self.take("-")
-        start = self.pos
+        at = self.i
         num = self.uint()
-        if self.take("/"):
-            den = self.uint()
-            if den == 0:
-                raise ParseError("zero denominator", start)
-            value = Fraction(num, den)
-        else:
-            value = Fraction(num)
-        return Eta(-value if neg else value)
+        den = self.uint() if self.take("/") else 1
+        if not den:
+            self.nonzero("zero denominator", at)
+        return Eta(Fraction(-num if neg else num, den))
 
 
 def parse_eta(src: str) -> Eta:
     """Parse one band parameter, alone, in the eta syntax of the element grammar."""
-    cur = _Cursor(src)
-    value = cur.eta()
-    if not cur.at_end():
-        raise ParseError("expected end of input after eta", cur.pos)
+    rd = _Reader(src)
+    value = rd.eta()
+    if rd.toks[rd.i]:
+        rd.fail("expected end of input after eta")
     return value
 
 
-# -- one compiled pattern per term -------------------------------------------
-#
-# Digits are [0-9], not \d, which also matches digits such as '١'; \s is
-# exactly str.isspace, which the cursor skips.  Every digit run is followed
-# by (?![0-9]), so no backtracking splits one, and a pattern never ends a
-# term where the reader would go on reading it.  The rules a pattern does
-# not check (a residue above 1, a zero size or denominator) send the term
-# to the reader, like a term the pattern does not match.
-
-_UINT = r"([0-9]+)(?![0-9])"
-# eta: groups oo, minus sign, numerator, denominator
-_ETA = r"(?:(oo)|(-)?\s*" + _UINT + r"(?:\s*/\s*" + _UINT + r")?)"
-
-# groups: sign, coefficient; V(2,r), V(r), P(r); O^ sign, s, r; M_ s, r; eta
-_LABEL_TERM = re.compile(
-    r"\s*([+-])?\s*(?:" + _UINT + r"\s*\*\s*)?\[\s*(?:"
-    r"V\(2,\s*" + _UINT +
-    r"|V\(\s*" + _UINT +
-    r"|P\(\s*" + _UINT +
-    r"|O\^\s*(-)?\s*" + _UINT + r"\s*V\(\s*" + _UINT +
-    r"|M_\s*" + _UINT + r"\s*\(\s*" + _UINT + r"\s*,\s*" + _ETA +
-    r")\s*\)\s*\]"
-)
-
-# One factor with its power; groups: band size, eta, generator, power.
-_FACTOR = r"\s*(?:X_\{\s*" + _UINT + r"\s*,\s*" + _ETA + r"\s*\}|([1gxyz]))(?:\s*\^\s*" + _UINT + r")?(?!\s*\^)"
-_PRES_FACTOR = re.compile(_FACTOR)
-# groups: sign, a coefficient alone, a coefficient before factors, the
-# factors (then those of _FACTOR, which _PRES_FACTOR reads again).
-# A digit run that is exactly '1' is the unit factor; any other is a
-# coefficient, so factors come first only where two digits do not.
-_COEFF = r"(?!1(?![0-9]))" + _UINT
-_PRES_TERM = re.compile(
-    r"\s*([+-])?\s*(?:" + _COEFF + r"(?!\s*\*)"
-    r"|(?:" + _COEFF + r"\s*\*|(?!\s*[0-9]{2}))(" + _FACTOR + r"(?:\s*\*" + _FACTOR + r")*)(?!\s*\*))"
-)
-
-
-def _eta_of(inf, neg, num, den) -> Eta | None:
-    """The eta of matched eta groups; None for a zero denominator."""
-    if inf:
-        return ETA_INF
-    num = int(num)
-    if den:
-        den = int(den)
-        if not den:
-            return None
-        value = Fraction(num, den)
-    else:
-        value = Fraction(num)
-    return Eta(-value if neg else value)
-
-
-def _label_term_of(m: re.Match) -> list[tuple[Label, int]] | None:
-    """The pairs of a term matched by _LABEL_TERM; None where a field breaks a
-    rule.  Fields are converted in the reader's order, so an integer too
-    long for int() raises the reader's ValueError."""
-    _, coeff, two, one, proj, neg, s, sr, bs, br, *e = m.groups()
-    coeff = 1 if coeff is None else int(coeff)
-    if bs is not None:
-        s = int(bs)
-        if not s:
-            return None
-        r = int(br)
-        if r > 1:
-            return None
-        value = _eta_of(*e)
-        if value is None:
-            return None
-        return [(band(s, r, value), coeff)]
-    if s is not None:
-        s = int(s)
-        if not s:
-            return None
-        r = int(sr)
-        if r > 1:
-            return None
-        return [(omega(-s if neg else s, r), coeff)]
-    if two is not None:
-        text, make = two, simple_two
-    elif one is not None:
-        text, make = one, simple_one
-    else:
-        text, make = proj, projective
-    r = int(text)
-    if r > 1:
-        return None
-    return [(make(r), coeff)]
-
-
-def _parse_label(cur: _Cursor) -> Label:
-    cur.skip_ws()
-    start = cur.pos
-    if cur.take("V(2,"):
-        r = cur.residue()
-        cur.expect(")")
-        return simple_two(r)
-    if cur.take("V("):
-        r = cur.residue()
-        cur.expect(")")
-        return simple_one(r)
-    if cur.take("P("):
-        r = cur.residue()
-        cur.expect(")")
-        return projective(r)
-    if cur.take("O^"):
-        neg = cur.take("-")
-        spos = cur.pos
-        s = cur.uint()
-        if s == 0:
-            raise ParseError("syzygy power must be nonzero", spos)
-        cur.expect("V(")
-        r = cur.residue()
-        cur.expect(")")
-        return omega(-s if neg else s, r)
-    if cur.take("M_"):
-        spos = cur.pos
-        s = cur.uint()
-        if s == 0:
-            raise ParseError("band size must be positive", spos)
-        cur.expect("(")
-        r = cur.residue()
-        cur.expect(",")
-        e = cur.eta()
-        cur.expect(")")
-        return band(s, r, e)
-    raise ParseError("expected a module label", start)
-
-
-def _parse_sum(src: str, cls, pattern: re.Pattern, term_of, read_term):
+def _parse_sum(src: str, cls, read_term):
     """Read a signed sum of terms into one ``cls`` element; '0' is zero.
 
-    Each term is first matched by ``pattern``, and ``term_of`` gives the
-    match's (key, coefficient) pairs, or None.  A term that does not match,
-    or gets None, is read again from its sign by the cursor and
-    ``read_term``, which raise every ParseError.
+    ``read_term`` reads one term after its sign and returns its (key,
+    coefficient) pairs.
     """
     if src.strip() == "0":
         return cls.zero()
+    rd = _Reader(src)
+    toks = rd.toks
     pairs = []
-    pos, first = 0, True
     while True:
-        m = pattern.match(src, pos)
-        terms = term_of(m) if m is not None and (first or m[1]) else None
-        if terms is not None:
-            negative = m[1] == "-"
-            pos = m.end()
-        else:
-            cur = _Cursor(src, pos)
-            if cur.take("-"):
-                negative = True
-            elif cur.take("+") or first:
-                negative = False
-            else:
-                raise ParseError("expected '+', '-' or end of input", cur.pos)
-            cur.skip_ws()
-            terms = read_term(cur)
-            pos = cur.pos
+        negative = toks[rd.i] == "-"
+        if negative or toks[rd.i] == "+":
+            rd.i += 1
+        terms = read_term(rd)
         pairs.extend([(key, -c) for key, c in terms] if negative else terms)
-        if pos == len(src) or src[pos:].isspace():
+        tok = toks[rd.i]
+        if not tok:
             return cls(pairs)
-        first = False
+        if tok != "+" and tok != "-":
+            rd.fail("expected '+', '-' or end of input", shift=rd.cut)
 
 
-def _parse_label_term(cur: _Cursor) -> list[tuple[Label, int]]:
+_SIMPLE = {"V(2,": simple_two, "V(": simple_one, "P(": projective}
+
+
+def _parse_label_term(rd: _Reader) -> list[tuple[Label, int]]:
+    toks = rd.toks
+    tok = toks[rd.i]
     coeff = 1
-    if cur.peek() in _DIGITS:
-        coeff = cur.uint()
-        cur.expect("*")
-    cur.expect("[")
-    label = _parse_label(cur)
-    cur.expect("]")
+    if tok[:1] in _DIGITS:
+        coeff = int(tok)
+        rd.i += 1
+        rd.expect("*")
+    rd.expect("[")
+    tok = toks[rd.i]
+    rd.i += 1
+    if tok in _SIMPLE:
+        label = _SIMPLE[tok](rd.residue())
+    elif tok == "O^":
+        neg = rd.take("-")
+        s = rd.size("syzygy power must be nonzero")
+        if toks[rd.i] == "V(2,":
+            # read as 'V(' and the residue 2
+            rd.fail("residue must be 0 or 1", shift=2)
+        rd.expect("V(")
+        label = omega(-s if neg else s, rd.residue())
+    elif tok == "M_":
+        s = rd.size("band size must be positive")
+        rd.expect("(")
+        r = rd.residue()
+        rd.expect(",")
+        label = band(s, r, rd.eta())
+    else:
+        rd.fail("expected a module label", rd.i - 1)
+    rd.expect(")")
+    rd.expect("]")
     return [(label, coeff)]
 
 
 def parse_element(src: str) -> GreenElement:
     """Parse an integer combination of bracketed labels; '0' is the zero element."""
-    return _parse_sum(src, GreenElement, _LABEL_TERM, _label_term_of, _parse_label_term)
+    return _parse_sum(src, GreenElement, _parse_label_term)
 
 
 def render_label(label: Label) -> str:
@@ -368,27 +274,27 @@ def element_to_json(e: GreenElement) -> dict:
 _GENERATORS = {"1": mono_one(), "g": mono_one(1), "x": mono_x(), "y": mono_y(1), "z": mono_z(1)}
 
 
-def _parse_pres_factor(cur: _Cursor) -> tuple[PresElement, int | None]:
-    """One factor read by the cursor, as its base and its power (None if absent)."""
-    cur.skip_ws()
-    start = cur.pos
-    if cur.take("X_{"):
-        npos = cur.pos
-        n = cur.uint()
-        if n == 0:
-            raise ParseError("band size must be positive", npos)
-        cur.expect(",")
-        e = cur.eta()
-        cur.expect("}")
-        base = PresElement.from_monomial(mono_band(n, e))
+def _parse_pres_factor(rd: _Reader) -> tuple[PresElement, int | None]:
+    """One factor, as its base and its power (None if absent)."""
+    tok = rd.toks[rd.i]
+    rd.i += 1
+    if tok in _GENERATORS:
+        base = _GENERATORS[tok]
+    elif tok == "X_{":
+        n = rd.size("band size must be positive")
+        rd.expect(",")
+        e = rd.eta()
+        rd.expect("}")
+        base = mono_band(n, e)
+    elif tok[:1] == "1":
+        # the unit factor; the rest of the number is left unread, so the
+        # term ends and the sum fails at its second digit
+        rd.i -= 1
+        rd.cut = 1
+        return PresElement.unit(), None
     else:
-        ch = cur.peek()
-        if ch in _GENERATORS:
-            cur.pos += 1
-            base = PresElement.from_monomial(_GENERATORS[ch])
-        else:
-            raise ParseError("expected a generator (1, g, x, y, z or X_{n,eta})", start)
-    return base, cur.uint() if cur.take("^") else None
+        rd.fail("expected a generator (1, g, x, y, z or X_{n,eta})", rd.i - 1)
+    return PresElement.from_monomial(base), rd.uint() if rd.take("^") else None
 
 
 def _pres_product(coeff: int, factors) -> list[tuple[PresMonomial, int]]:
@@ -407,48 +313,25 @@ def _pres_product(coeff: int, factors) -> list[tuple[PresMonomial, int]]:
     return [(m, coeff * c) for m, c in term._coeffs.items()]
 
 
-def _parse_pres_term(cur: _Cursor) -> list[tuple[PresMonomial, int]]:
+def _parse_pres_term(rd: _Reader) -> list[tuple[PresMonomial, int]]:
     coeff = 1
-    start = cur.pos
-    if cur.peek() in _DIGITS:
-        coeff = cur.uint()
-        if cur.src[start : cur.pos] == "1":
-            # the unit factor, as in 1^2*x; any other number, 01 and 12
-            # included, is a coefficient
-            coeff, cur.pos = 1, start
-        elif not cur.take("*"):
+    tok = rd.toks[rd.i]
+    # exactly '1' is the unit factor, as in 1^2*x; any other number, 01 and
+    # 12 included, is a coefficient
+    if tok[:1] in _DIGITS and tok != "1":
+        coeff = int(tok)
+        rd.i += 1
+        if not rd.take("*"):
             return [(mono_one(), coeff)]
-    factors = [_parse_pres_factor(cur)]
-    while cur.take("*"):
-        factors.append(_parse_pres_factor(cur))
-    return _pres_product(coeff, factors)
-
-
-def _pres_term_of(m: re.Match) -> list[tuple[PresMonomial, int]] | None:
-    """The pairs of a term matched by _PRES_TERM; None where a band size or
-    an eta denominator is zero.  Every field is converted before any
-    product is taken, in the reader's order."""
-    alone, coeff = m[2], m[3]
-    if alone is not None:
-        return [(mono_one(), int(alone))]
-    factors = []
-    coeff = 1 if coeff is None else int(coeff)
-    for n, *e, gen, power in _PRES_FACTOR.findall(m.string, *m.span(4)):
-        if gen:
-            base = PresElement.from_monomial(_GENERATORS[gen])
-        else:
-            n = int(n)
-            value = _eta_of(*e) if n else None
-            if value is None:
-                return None
-            base = PresElement.from_monomial(mono_band(n, value))
-        factors.append((base, int(power) if power else None))
+    factors = [_parse_pres_factor(rd)]
+    while rd.take("*"):
+        factors.append(_parse_pres_factor(rd))
     return _pres_product(coeff, factors)
 
 
 def parse_pres_element(src: str) -> PresElement:
     """Parse a presentation expression and reduce it to normal form."""
-    return _parse_sum(src, PresElement, _PRES_TERM, _pres_term_of, _parse_pres_term)
+    return _parse_sum(src, PresElement, _parse_pres_term)
 
 
 def render_pres_element(p: PresElement) -> str:

@@ -658,22 +658,20 @@ def _chain_counts(a1: RatMatrix, delta: RatMatrix) -> tuple[dict[int, int], RatM
     return counts, t_part, s_part
 
 
-def _charpoly(mat: RatMatrix) -> list[Fraction]:
-    """Characteristic polynomial det(xI - mat), coefficients low to high.
+def _charpoly(mat: RatMatrix) -> list[int]:
+    """Characteristic polynomial det(xI - mat) of an integer matrix,
+    coefficients low to high.
 
     Faddeev-LeVerrier recurrence (D. K. Faddeev and V. N. Faddeeva,
     Computational Methods of Linear Algebra, 1963): from N_1 = I, the
-    coefficient of x^(m-k) is c_k = -tr(M N_k) / k, and
-    N_(k+1) = M N_k + c_k I, on the ints of M = L mat, L the lcm of mat's
-    denominators.  M's c_k are integers, so each division by k is exact,
-    and det(xI - mat) = L^-m det(L x I - M) divides c_k by L^k.
+    coefficient of x^(m-k) is c_k = -tr(mat N_k) / k, and
+    N_(k+1) = mat N_k + c_k I.  On an integer matrix the c_k are integers,
+    so each division by k is exact and runs on ints.
     """
     m = mat.rows
-    entries = mat.entries()
-    scale = lcm(*(x.denominator for x in entries.values()))
     rows: list[list[tuple[int, int]]] = [[] for _ in range(m)]
-    for (i, j), x in entries.items():
-        rows[i].append((j, int(x * scale)))
+    for (i, j), x in mat.entries().items():
+        rows[i].append((j, x.numerator))
     coeffs, n = [1], [[int(i == j) for j in range(m)] for i in range(m)]
     for k in range(1, m + 1):
         prod = []
@@ -686,7 +684,7 @@ def _charpoly(mat: RatMatrix) -> list[Fraction]:
         for i in range(m):
             prod[i][i] += coeffs[-1]
         n = prod
-    return [Fraction(c, scale**k) for k, c in enumerate(coeffs)][::-1]
+    return coeffs[::-1]
 
 
 def _poly_eval(poly: list[int], x: int) -> int:
@@ -814,8 +812,7 @@ def _rational_eigen_blocks(phi: RatMatrix) -> list[tuple[Fraction, list[int]]]:
     entries = phi.entries()
     scale = lcm(*(x.denominator for x in entries.values()))
     lphi = RatMatrix.from_entries(m, m, {key: x * scale for key, x in entries.items()})
-    # L phi is integral, so every coefficient is a Fraction with denominator 1
-    roots = _integer_roots(_squarefree([c.numerator for c in _charpoly(lphi)]))
+    roots = _integer_roots(_squarefree(_charpoly(lphi)))
 
     blocks: list[tuple[Fraction, list[int]]] = []
     total = 0

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import green_elements, labels
-from d4green import grammar
 from d4green.grammar import (
     ParseError,
     element_to_json,
     label_to_json,
     parse_element,
+    parse_eta,
     parse_pres_element,
     pres_monomial_to_json,
     pres_to_json,
@@ -254,20 +254,12 @@ def test_json_kind_strings_of_every_monomial_kind():
         assert pres_monomial_to_json(m)["kind"] == kind
 
 
-# -- the term patterns against the step-by-step reader ------------------------
+# -- the reader on spaced, mutated and broken input -----------------------------
 
-NEVER = re.compile(r"(?!)")
 WHITESPACE = [c for c in map(chr, range(0x3001)) if c.isspace()]  # U+3000 is the last one
 # literals the reader takes whole, then digit runs, then any single character
 TOKEN = re.compile(r"V\(2,|V\(|P\(|O\^|M_|X_\{|oo|[0-9]+|.", re.S)
 MUTATIONS = list("0123456789+-*^/[](){},_VPOMXgxyzo ") + ["١", "²", "\x1c", "　"]
-
-
-def outcome(parse, text):
-    try:
-        return parse(text)
-    except ParseError as err:
-        return str(err), err.pos
 
 
 @st.composite
@@ -318,33 +310,66 @@ def grammar_inputs(draw):
 
 @given(grammar_inputs())
 @settings(max_examples=400, deadline=None)
-def test_term_patterns_agree_with_the_reader(case):
+def test_spaced_input_parses_alike_and_mutated_input_fails_in_range(case):
     parse, text, expected = case
-    fast = outcome(parse, text)
-    with pytest.MonkeyPatch.context() as mp:
-        # the reader alone: neither pattern matches anything
-        mp.setattr(grammar, "_LABEL_TERM", NEVER)
-        mp.setattr(grammar, "_PRES_TERM", NEVER)
-        slow = outcome(parse, text)
-    assert fast == slow
+    try:
+        got = parse(text)
+    except ParseError as err:
+        assert expected is None, f"re-spaced {text!r} failed: {err}"
+        assert 0 <= err.pos <= len(text)
+        return
     if expected is not None:
-        assert fast == expected
+        assert got == expected
 
 
-@given(
-    st.one_of(
-        green_elements(max_s=12).map(lambda e: (parse_element, render_element, e)),
-        pres_elements().map(lambda p: (parse_pres_element, render_pres_element, p)),
-    )
+# (parser, input, message, position), recorded with the character-by-character
+# reader that came before the token reader: one row per message, and one per
+# place where the position is not the start of the offending token.
+@pytest.mark.parametrize(
+    "parse, text, message, pos",
+    [
+        (parse_element, "[V(0)", "expected ']'", 5),
+        (parse_element, "[V(0]", "expected ')'", 4),
+        (parse_element, "2[V(0)]", "expected '*'", 1),
+        (parse_element, "2*V(0)", "expected '['", 2),
+        (parse_element, "", "expected '['", 0),
+        (parse_element, "[M_2 0,1)]", "expected '('", 5),
+        (parse_element, "[M_2(0 1)]", "expected ','", 7),
+        (parse_element, "[O^2(0)]", "expected 'V('", 4),
+        (parse_element, "[V(x)]", "expected an unsigned integer", 3),
+        (parse_element, "[V(3)]", "residue must be 0 or 1", 3),
+        (parse_element, "[M_1١(0,1)]", "expected '('", 4),  # '١' ends the number
+        (parse_element, "[Q(0)]", "expected a module label", 1),
+        (parse_element, "[V (0)]", "expected a module label", 1),
+        (parse_element, "[V(0)] [V(1)]", "expected '+', '-' or end of input", 7),
+        (parse_element, "[O^0V(0)]", "syzygy power must be nonzero", 3),
+        (parse_element, "[M_0(0,1)]", "band size must be positive", 3),
+        (parse_element, "[M_1(0,1/0)]", "zero denominator", 7),
+        # a zero is reported where M_, X_{ or a '-' before it ends, else at the number
+        (parse_element, "[O^ 0V(0)]", "syzygy power must be nonzero", 4),
+        (parse_element, "[O^- 0V(0)]", "syzygy power must be nonzero", 4),
+        (parse_element, "[M_ 0(0,1)]", "band size must be positive", 3),
+        (parse_element, "[M_1(0,- 1/0)]", "zero denominator", 8),
+        (parse_element, "[M_1(0, 1/0)]", "zero denominator", 8),
+        (parse_pres_element, "X_{ 0,1}", "band size must be positive", 3),
+        (parse_eta, "-1/0", "zero denominator", 1),
+        (parse_eta, "1 /0", "zero denominator", 0),
+        # O^s expects 'V(': 'V(2,' is 'V(' and the residue 2
+        (parse_element, "[O^1V(2,0)]", "residue must be 0 or 1", 6),
+        # a number that starts with 1 in a product is the unit factor, then junk
+        (parse_pres_element, "x*11", "expected '+', '-' or end of input", 3),
+        (parse_pres_element, "2*12", "expected '+', '-' or end of input", 3),
+        (parse_pres_element, "1 2", "expected '+', '-' or end of input", 2),
+        (parse_pres_element, "X_{2 1}", "expected ','", 5),
+        (parse_pres_element, "X_{2,1", "expected '}'", 6),
+        (parse_pres_element, "x^", "expected an unsigned integer", 2),
+        (parse_pres_element, "w", "expected a generator (1, g, x, y, z or X_{n,eta})", 0),
+        (parse_eta, "oo1", "expected end of input after eta", 2),
+        (parse_eta, "-oo", "expected an unsigned integer", 1),
+    ],
 )
-@settings(max_examples=100)
-def test_rendered_terms_never_reach_the_reader(case):
-    parse, render, e = case
-
-    def refuse(cur):
-        raise AssertionError("the reader read a rendered term")
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(grammar, "_parse_label_term", refuse)
-        mp.setattr(grammar, "_parse_pres_term", refuse)
-        assert parse(render(e)) == e
+def test_parse_error_messages_and_positions(parse, text, message, pos):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at position {pos})"
+    assert err.value.pos == pos

@@ -2,7 +2,7 @@ import ast
 import itertools
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 from pathlib import Path
 
 import pytest
@@ -384,15 +384,19 @@ def test_decompose_band_parameter_full_grid():
 @given(rat_matrices(max_dim=5, square=True))
 @settings(max_examples=60)
 def test_charpoly_matches_determinants(mat):
-    # m + 1 values of det(xI - mat) fix a polynomial of degree m
-    poly = replab._charpoly(mat)
+    # _charpoly takes integer matrices: scale by the lcm L of the denominators.
+    # m + 1 values of det(xI - L mat) fix a polynomial of degree m
+    scale = lcm(*(x.denominator for x in mat.entries().values()))
+    lmat = mat.scale(scale)
+    poly = replab._charpoly(lmat)
     m = mat.rows
     assert len(poly) == m + 1 and poly[-1] == 1
+    assert all(type(c) is int for c in poly)
     for x in range(m + 1):
-        value = Fraction(0)
+        value = 0
         for c in reversed(poly):
             value = value * x + c
-        assert value == (RatMatrix.identity(m).scale(x) - mat).det()
+        assert value == (RatMatrix.identity(m).scale(x) - lmat).det()
 
 
 def _jordan_sum(blocks):
