@@ -45,6 +45,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .green import (
     ETA_INF,
@@ -163,23 +165,25 @@ def parse_eta(src: str) -> Eta:
 def _parse_sum(src: str, cls, read_term):
     """Read a signed sum of terms into one ``cls`` element; '0' is zero.
 
-    ``read_term`` reads one term after its sign and returns its (key,
-    coefficient) pairs.
+    ``read_term`` reads one term after its sign and returns an iterable of
+    its (key, coefficient) pairs.  The pairs are taken only once the whole
+    sum is read, so an iterable that computes them lazily costs nothing when
+    the input fails later.
     """
     if src.strip() == "0":
         return cls.zero()
     rd = _Reader(src)
     toks = rd.toks
-    pairs = []
+    parts = []
     while True:
         negative = toks[rd.i] == "-"
         if negative or toks[rd.i] == "+":
             rd.i += 1
         terms = read_term(rd)
-        pairs.extend([(key, -c) for key, c in terms] if negative else terms)
+        parts.append(((key, -c) for key, c in terms) if negative else terms)
         tok = toks[rd.i]
         if not tok:
-            return cls(pairs)
+            return cls(chain.from_iterable(parts))
         if tok != "+" and tok != "-":
             rd.fail("expected '+', '-' or end of input", shift=rd.cut)
 
@@ -297,8 +301,9 @@ def _parse_pres_factor(rd: _Reader) -> tuple[PresElement, int | None]:
     return PresElement.from_monomial(base), rd.uint() if rd.take("^") else None
 
 
-def _pres_product(coeff: int, factors) -> list[tuple[PresMonomial, int]]:
-    """The pairs of coeff times the product of (base, power) factors.
+def _pres_product(coeff: int, factors) -> Iterator[tuple[PresMonomial, int]]:
+    """The pairs of coeff times the product of (base, power) factors, computed
+    when first iterated, that is after the whole sum is read (:func:`_parse_sum`).
 
     A power is that many products by the base, one after another.
     """
@@ -310,10 +315,11 @@ def _pres_product(coeff: int, factors) -> list[tuple[PresMonomial, int]]:
                 acc = nf_mul(acc, base)
             base = acc
         term = base if term is None else nf_mul(term, base)
-    return [(m, coeff * c) for m, c in term._coeffs.items()]
+    for m, c in term._coeffs.items():
+        yield m, coeff * c
 
 
-def _parse_pres_term(rd: _Reader) -> list[tuple[PresMonomial, int]]:
+def _parse_pres_term(rd: _Reader) -> Iterable[tuple[PresMonomial, int]]:
     coeff = 1
     tok = rd.toks[rd.i]
     # exactly '1' is the unit factor, as in 1^2*x; any other number, 01 and

@@ -16,16 +16,15 @@ The decomposition works on the (b, c) weight spaces:
 
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
    (-β, -γ).  A module keeps its weight grading: the a and d blocks between
-   paired weight spaces.  A tensor product of modules in weight bases builds
-   its blocks from its factors' (:func:`_tensor_grading`), as b and c are
-   grouplike, and never forms its dense matrices for this.  For a module
-   given by its matrices, :func:`_weight_split` reads the weights off the
-   diagonals of b and c and cuts a and d into blocks.  Every standard model
-   has diagonal b and c (strings are closed-form zigzags, built like the
-   bands), so joint eigenvectors are computed only in other bases.
-   Weights (1,-1) and (-1,1) make up the bc = -1 part.  Once its relations
-   a^2 = 0, d^2 = 0 and da + ad = 2 are checked, it is a semisimple pile of
-   two-dimensional simples counted by the ranks of its a blocks.
+   paired weight spaces.  For a module given by its matrices,
+   :func:`_weight_split` reads the weights off the diagonals of b and c
+   (every standard model has them diagonal; joint eigenvectors are computed
+   only in other bases), and :func:`_check_graded` checks the relations
+   left on the blocks, the one check of a module's relations.  A tensor
+   product builds its blocks from its factors' (:func:`_tensor_grading`),
+   as b and c are grouplike, and is not checked again.  Weights (1,-1) and
+   (-1,1) make up the bc = -1 part, a semisimple pile of two-dimensional
+   simples counted by the ranks of its a blocks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
    rank of the J^2 block x -> adx counts them.
@@ -88,7 +87,8 @@ class Representation:
     documents, when one of them is first read.  Either way the module keeps
     its weight grading (see :func:`_weight_split`) once that is computed:
     :func:`decompose` and the radical-series functions read it, and a tensor
-    product builds its own from its factors' gradings.
+    product builds its own from its factors' gradings.  The grading is where
+    a module's relations are checked, once (see :meth:`_weights`).
     """
 
     __slots__ = ("dim", "_gens", "_factors", "_grading")
@@ -121,10 +121,15 @@ class Representation:
     a, b, c, d = (property(lambda self, k=k: self.generators()[k]) for k in range(4))
 
     def _weights(self) -> _Grading:
-        """The weight grading, computed on first use and kept."""
+        """The weight grading, computed on first use and kept.
+
+        A module given by its matrices is split and its relations checked on
+        the blocks, once.  A tensor product takes its grading from its
+        factors', whose errors it raises, and is not checked again.
+        """
         if self._grading is None:
-            graded = _tensor_grading(*self._factors) if self._factors else None
-            object.__setattr__(self, "_grading", _weight_split(self) if graded is None else graded)
+            grading = _tensor_grading(*self._factors) if self._factors else _check_graded(_weight_split(self))
+            object.__setattr__(self, "_grading", grading)
         return self._grading
 
     def __eq__(self, other) -> bool:
@@ -431,8 +436,8 @@ def _weight_split(rep: Representation) -> _Grading:
 _WEIGHT_PRODUCT = [[_WEIGHTS.index((x[0] * y[0], x[1] * y[1])) for y in _WEIGHTS] for x in _WEIGHTS]
 
 
-def _tensor_grading(m: Representation, n: Representation) -> _Grading | None:
-    """The grading of m (x) n, built from the factors' gradings; None unless both are in weight bases.
+def _tensor_grading(m: Representation, n: Representation) -> _Grading:
+    """The grading of m (x) n, built from the factors' gradings.
 
     b and c are grouplike, so vector k = i dim N + j has the product of the
     weights of i and j, and the product is in a weight basis.  Its groups
@@ -443,15 +448,12 @@ def _tensor_grading(m: Representation, n: Representation) -> _Grading | None:
     meet, and nnz(a_M) dim N + dim M nnz(a_N) entries are written straight
     into the blocks.  d is the same with c in place of b.
 
-    A factor that is not in a weight basis, or whose own grading raises,
-    gives None, and the product is split by :func:`_weight_split` instead.
+    A factor given in another basis is read in its weight basis, so the
+    product is in the Kronecker product of the factors' weight bases, and
+    that is its pmat.  A factor whose own grading raises makes the product
+    raise the same error.
     """
-    try:
-        gm, gn = m._weights(), n._weights()
-    except DecompositionError:
-        return None
-    if gm.pmat is not None or gn.pmat is not None:
-        return None
+    gm, gn = m._weights(), n._weights()
     dn = n.dim
     # the weight of each index of M and of N
     wm, wn = ([w for _, w in sorted((i, w) for w, group in enumerate(g.groups) for i in group)] for g in (gm, gn))
@@ -483,7 +485,11 @@ def _tensor_grading(m: Representation, n: Representation) -> _Grading | None:
             for i, w in enumerate(wm):
                 entries[_WEIGHT_PRODUCT[w][wn[j2]]][pos[i * dn + j], pos[i * dn + j2]] = x
         blocks.append([RatMatrix.from_entries(len(groups[w ^ 1]), len(groups[w]), e) for w, e in enumerate(entries)])
-    return _graded_in_weight_basis(*blocks, groups)
+    grading = _graded_in_weight_basis(*blocks, groups)
+    if gm.pmat is None and gn.pmat is None:
+        return grading
+    pmat_m, pmat_n = (RatMatrix.identity(x.dim) if g.pmat is None else g.pmat for x, g in ((m, gm), (n, gn)))
+    return grading._replace(pmat=pmat_m.kron(pmat_n))
 
 
 def _raise_outside_flipped_weight(name: str, gen: RatMatrix, groups: list[list[int]]):
@@ -496,6 +502,29 @@ def _raise_outside_flipped_weight(name: str, gen: RatMatrix, groups: list[list[i
         f"{name} does not send each (b, c) weight to its negative: "
         f"it sends part of weight {_WEIGHTS[min(kept)]} outside weight {_WEIGHTS[min(kept) ^ 1]}"
     )
+
+
+def _check_graded(grading: _Grading) -> _Grading:
+    """The grading of a module given by its matrices, once its relations hold.
+
+    In a weight basis b and c are diagonal involutions, and as a and d flip
+    the weights they anticommute with b and c.  So the relations left are
+    a^2 = 0, d^2 = 0 and da + ad = 1 - bc, where 1 - bc is 0 on the bc = +1
+    part and 2 on the bc = -1 part; each is checked on each side p of each
+    part, in this order.  Raises DecompositionError naming the first that
+    fails.
+    """
+    for part, sign, k in ((grading.plus, "+", 0), (grading.minus, "-", 2)):
+        for p in (0, 1):
+            a, d = part.a[1 - p], part.d[1 - p]
+            for relation, x, y in (("a^2 = 0", a, part.a[p]), ("d^2 = 0", d, part.d[p])):
+                if not (x @ y).is_zero():
+                    raise DecompositionError(f"{relation} fails on side {p} of the bc = {sign}1 part")
+            # da + ad as one product: (d | a) times (a over d) on side p
+            da_ad = RatMatrix.block([[d, a]]) @ RatMatrix.block([[part.a[p]], [part.d[p]]])
+            if da_ad != RatMatrix.diagonal([k] * part.dims[p]):
+                raise DecompositionError(f"da + ad = {k} fails on side {p} of the bc = {sign}1 part")
+    return grading
 
 
 # -- radical series ---------------------------------------------------------
@@ -536,10 +565,10 @@ def socle_basis(rep: Representation) -> RatMatrix:
 
 
 def loewy_length(rep: Representation) -> int:
-    """Least k with J^k M = 0 (at most 3 for genuine modules).
+    """Least k with J^k M = 0, at most 3.
 
-    J^(k+1) M lies in J^k M on each side, so a nonzero layer that does not
-    shrink is J^k M for every later k, and the series never ends.
+    The relations are checked when the grading is made, so the series ends:
+    J^3 = 0 in the algebra.
     """
     if rep.dim == 0:
         return 0
@@ -547,10 +576,7 @@ def loewy_length(rep: Representation) -> int:
     layer = _radical(plus)
     k = 1
     while any(side.cols for side in layer):
-        below = _radical(plus, layer)
-        if [side.cols for side in below] == [side.cols for side in layer]:
-            raise DecompositionError("radical series does not terminate")
-        layer = below
+        layer = _radical(plus, layer)
         k += 1
     return k
 
@@ -922,25 +948,11 @@ def _kronecker_with_shift(alpha: RatMatrix, delta: RatMatrix, c: Fraction):
 def _two_dim_labels(part: _Graded) -> list[Label]:
     """Labels of the bc = -1 part: a semisimple pile of two-dimensional simples.
 
-    Once a and d flip the weights, the defining relations on this part come
-    down to a^2 = 0, d^2 = 0 and da + ad = 2, checked here on each side.
-    They make ad/2 and da/2 complementary idempotents with images a(M) and
-    d(M), and a maps d(M) isomorphically onto a(M).  So the rank of a on
-    side p counts the V(2, p) summands, and the two sides balance.  A part
-    of dimension 0 has no labels and needs no check.
+    The relations a^2 = 0, d^2 = 0 and da + ad = 2 hold on this part, as
+    :func:`_check_graded` saw.  They make ad/2 and da/2 complementary
+    idempotents with images a(M) and d(M), and a maps d(M) isomorphically
+    onto a(M).  So the rank of a on side p counts the V(2, p) summands.
     """
-    if not any(part.dims):
-        return []
-    for p in (0, 1):
-        n = part.dims[p]
-        a, d = part.a[1 - p], part.d[1 - p]
-        for relation, x, y in (("a^2 = 0", a, part.a[p]), ("d^2 = 0", d, part.d[p])):
-            if not (x @ y).is_zero():
-                raise DecompositionError(f"{relation} fails on side {p} of the bc = -1 part")
-        # da + ad as one product: (d | a) times (a over d) on side p
-        da_ad = RatMatrix.block([[d, a]]) @ RatMatrix.block([[part.a[p]], [part.d[p]]])
-        if da_ad != RatMatrix.diagonal([2] * n):
-            raise DecompositionError(f"da + ad = 2 fails on side {p} of the bc = -1 part")
     return [simple_two(0)] * part.a[0].rank() + [simple_two(1)] * part.a[1].rank()
 
 
@@ -975,39 +987,24 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     Projectives are injective, so each P(p) summand splits off.  On side p
     the J^2 map x -> adx kills every other summand, so its rank counts the
     P(p).  For the unit vectors u at its pivot columns the adu are
-    independent, and u, au, du, adu over all of them span a submodule made of
-    those projectives.  Only the quotient by it, of radical square zero, goes
-    to the Kronecker pencil.  Without projectives the quotient is the part
-    itself.
+    independent, and u, au, du, adu over all of them span a submodule, the
+    direct sum of those projectives, with two dimensions on each side per
+    summand.  The quotient by it has radical square zero, as the relations
+    hold (:func:`_check_graded`), and only it goes to the Kronecker pencil.
+    Without projectives the quotient is the part itself.
     """
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [m.rref()[1] for m in sq]
-    k0, k1 = map(len, tops)
-    summands = f"{k0} P(0) and {k1} P(1) summands"
     core = part
-    if k0 or k1:
+    if any(tops):
         span = []
         for p, n in enumerate(part.dims):
             units = RatMatrix.from_entries(n, len(tops[p]), {(t, j): 1 for j, t in enumerate(tops[p])})
             own = [units, sq[p].take(range(n), tops[p])]
             span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
         proj, free = zip(*map(quotient_maps, span))
-        # each P(0) and each P(1) puts two dimensions on each side
-        spanned = tuple(part.dims[p] - proj[p].rows for p in (0, 1))
-        if spanned != (2 * (k0 + k1),) * 2:
-            raise DecompositionError(f"the {summands} span dimensions {spanned}, not 2 * {k0 + k1} on each side")
-        maps = []
-        for name, x in zip("ad", part):
-            cut = [proj[1 - p] @ x[p] for p in (0, 1)]
-            if any(not (m @ span[p]).is_zero() for p, m in enumerate(cut)):
-                raise DecompositionError(f"{name} does not keep the span of the {summands}")
-            maps.append(tuple(m.take(range(m.rows), free[p]) for p, m in enumerate(cut)))
-        core = _Graded(*maps)
-    if any(not (x[1 - p] @ y[p]).is_zero() for x in core for y in core for p in (0, 1)):
-        raise DecompositionError(
-            f"radical square is nonzero on the quotient by the {summands}, of dimensions {core.dims}"
-        )
-    return _ll2_labels(core) + [projective(0)] * k0 + [projective(1)] * k1
+        core = _Graded(*(tuple(proj[1 - p] @ x[p].take(range(x[p].rows), free[p]) for p in (0, 1)) for x in part))
+    return _ll2_labels(core) + [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
 
 
 def decompose(rep: Representation) -> list[Label]:
@@ -1016,19 +1013,12 @@ def decompose(rep: Representation) -> list[Label]:
     Deterministic.  Raises DecompositionError when the input does not split
     into the known label set over the rationals.
 
-    The stages certify these defining relations:
-
-    - the weight split: b^2 = c^2 = 1 and bc = cb (the weight spaces fill
-      the module), and a and d anticommute with b and c (they flip weights).
-      A tensor product of modules in weight bases inherits these from its
-      factors' splits, as the coproduct keeps them;
-    - the bc = -1 part: a^2 = 0, d^2 = 0 and da + ad = 2 there;
-    - the bc = +1 part: only that the projective span is a submodule and
-      that the radical square vanishes on the quotient by it.  a^2 = 0,
-      d^2 = 0 and da + ad = 0 are not checked there, so a non-module can
-      still get labels: b = c = diag(1, 1, -1, -1) with a[0][2] = 1,
-      a[3][1] = -1 and d[1][2] = -1 is labelled [P(1)], although
-      ad = E_32 is not -da.
+    The defining relations are checked once, when the module's weight
+    grading is made: the weight split checks b^2 = c^2 = 1, bc = cb and that
+    a and d anticommute with b and c, and :func:`_check_graded` checks the
+    rest on the weight blocks.  A tensor product inherits them from its
+    factors.  So the stages below run only on modules; what they check is
+    that the summands exhaust the space and are defined over Q.
     """
     n = rep.dim
     if n == 0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import green_elements, labels
+from d4green import grammar
 from d4green.grammar import (
     ParseError,
     element_to_json,
@@ -373,3 +374,24 @@ def test_parse_error_messages_and_positions(parse, text, message, pos):
         parse(text)
     assert str(err.value) == f"{message} (at position {pos})"
     assert err.value.pos == pos
+
+
+@pytest.mark.parametrize(
+    "text, message, pos",
+    [
+        ("x^20000 + w", "expected a generator (1, g, x, y, z or X_{n,eta})", 10),
+        ("x^20000*12", "expected '+', '-' or end of input", 9),
+        ("y^20000 - 2*z^3*w", "expected a generator (1, g, x, y, z or X_{n,eta})", 16),
+    ],
+)
+def test_a_sum_is_read_whole_before_any_product_is_taken(monkeypatch, text, message, pos):
+    calls = []
+
+    def nf_mul(*args):
+        calls.append(args)
+        raise AssertionError("a product was taken before the sum was read")
+
+    monkeypatch.setattr(grammar, "nf_mul", nf_mul)
+    with pytest.raises(ParseError) as err:
+        parse_pres_element(text)
+    assert (str(err.value), err.value.pos, calls) == (f"{message} (at position {pos})", pos, [])

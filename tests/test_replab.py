@@ -1,5 +1,6 @@
 import ast
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 from math import lcm, prod
@@ -18,6 +19,7 @@ from d4green.green import (
     band,
     dual_label,
     eta,
+    label_dimension,
     mul_labels,
     omega,
     projective,
@@ -262,11 +264,12 @@ def test_radical_of_projective_simple_is_zero():
     assert socle_basis(t).cols == 2
 
 
-def test_loewy_length_raises_when_the_radical_series_stalls():
-    # a swaps the two weights of the bc = +1 part, so JM = M and no power of J kills M
+def test_loewy_length_rejects_a_non_module_whose_radical_series_stalls():
+    # a swaps the two weights of the bc = +1 part, so JM = M and no power of J
+    # would kill M; a^2 = 1 here, and the grading's check says so first
     b = RatMatrix.diagonal([1, -1])
     rep = Representation(RatMatrix.from_rows([[0, 1], [1, 0]]), b, b.copy(), RatMatrix.zeros(2, 2))
-    with pytest.raises(DecompositionError, match="radical series does not terminate"):
+    with pytest.raises(DecompositionError, match=r"^a\^2 = 0 fails on side 0 of the bc = \+1 part$"):
         loewy_length(rep)
 
 
@@ -826,33 +829,34 @@ def test_decompose_rejects_nonzero_radical_square_without_projectives():
     rep = build(projective(0))
     a = rep.a.copy()
     a.data[3][2] = Fraction(0)  # now ad = 0 but da != 0, so da + ad = 1 - bc fails
-    nonzero = r"^radical square is nonzero on the quotient by the 0 P\(0\) and 0 P\(1\) summands, of dimensions \(2, 2\)$"
-    with pytest.raises(DecompositionError, match=nonzero):
+    with pytest.raises(DecompositionError, match=r"^da \+ ad = 0 fails on side 0 of the bc = \+1 part$"):
         decompose(Representation(a, rep.b, rep.c, rep.d))
 
 
 # In P(0) (top v0, a v0 = v1, d v0 = v2, socle v3) the span of v0..v3 stops
 # being a submodule when a sends v1, of weight (-1, -1), into a V(0), or d
-# sends the socle into a V(1).  (a on the socle would make the J^2 map of
-# side 1 nonzero too, so the span would gain that image and stay closed;
-# the next test covers that case.)
+# sends the socle into a V(1).  Either breaks a relation, which the grading's
+# check names: a^2 v0 = a v1 on side 0, or d^2 v1 = -d v3 on side 1.  (a on
+# the socle would make the J^2 map of side 1 nonzero too, so the span would
+# gain that image and stay closed; the next test covers that case.)
 @pytest.mark.parametrize("other, name, row, col", [(simple_one(0), "a", 4, 1), (simple_one(1), "d", 4, 3)])
 def test_decompose_rejects_a_projective_span_that_is_not_a_submodule(other, name, row, col):
     rep = direct_sum([build(projective(0)), build(other)])
     gens = {"a": rep.a.copy(), "b": rep.b, "c": rep.c, "d": rep.d.copy()}
     gens[name].data[row][col] = Fraction(1)
-    not_kept = rf"^{name} does not keep the span of the 1 P\(0\) and 0 P\(1\) summands$"
+    side = {"a": 0, "d": 1}[name]
+    not_kept = rf"^{name}\^2 = 0 fails on side {side} of the bc = \+1 part$"
     with pytest.raises(DecompositionError, match=not_kept):
         decompose(Representation(**gens))
 
 
 def test_decompose_rejects_projective_spans_that_overlap():
-    # a sends the socle of P(0) into V(1), so the J^2 map of side 1 counts a
-    # P(1) too, and the two spans share P(0)'s: 5 dimensions, not 8
+    # a sends the socle of P(0) into V(1), so the J^2 map of side 1 would count
+    # a P(1) too, and the two spans would share P(0)'s; a^2 v2 = a v3 is not 0
     rep = direct_sum([build(projective(0)), build(simple_one(1))])
     a = rep.a.copy()
     a.data[4][3] = Fraction(1)
-    overlap = r"^the 1 P\(0\) and 1 P\(1\) summands span dimensions \(2, 3\), not 2 \* 2 on each side$"
+    overlap = r"^a\^2 = 0 fails on side 1 of the bc = \+1 part$"
     with pytest.raises(DecompositionError, match=overlap):
         decompose(Representation(a, rep.b, rep.c, rep.d))
 
@@ -900,7 +904,8 @@ def test_decompose_of_a_tensor_product_forms_no_dense_product(monkeypatch):
 
 
 def test_decompose_of_a_tensor_product_with_a_factor_in_another_basis():
-    # a factor outside a weight basis sends the dense product through _weight_split
+    # a factor outside a weight basis is read in its weight basis, and the
+    # product in the Kronecker product of the factors' weight bases
     import random
 
     rng = random.Random(5)
@@ -910,16 +915,17 @@ def test_decompose_of_a_tensor_product_with_a_factor_in_another_basis():
             for rep in (tensor(conj, build(l2)), tensor(build(l2), conj)):
                 assert decompose(rep) == expand(mul_labels(l1, l2))
                 assert rep._weights().pmat is not None
-    # a factor whose own split raises: the product fails as its dense matrices do
+                # the cover's columns are read through that basis, and it raises
+                # unless they make a surjective module map
+                projective_cover_map(rep)
+    # a factor whose own split raises: the product raises the factor's error
     bad = build(band(2, 0, '1/2'))
     keep = RatMatrix.from_entries(4, 4, {(0, 0): 1})
     bad = Representation(bad.a + keep, bad.b, bad.c, bad.d)
-    for rep in (tensor(bad, build(omega(1, 0))), tensor(build(simple_two(0)), bad)):
-        with pytest.raises(DecompositionError) as lazy:
+    own = r"^a does not send each \(b, c\) weight to its negative: it sends part of weight \(-1, -1\) outside"
+    for rep in (bad, tensor(bad, build(omega(1, 0))), tensor(build(simple_two(0)), bad)):
+        with pytest.raises(DecompositionError, match=own):
             decompose(rep)
-        with pytest.raises(DecompositionError) as dense:
-            decompose(Representation(*rep.generators()))
-        assert str(lazy.value) == str(dense.value)
 
 
 def test_module_structure_is_basis_independent():
@@ -1214,11 +1220,6 @@ def test_decompose_rejects_a_bc_minus_one_part_that_breaks_its_relations(a, d, r
         decompose(rep)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=pytest.fail.Exception,
-    reason="the bc = +1 part does not check a^2 = 0, d^2 = 0 and da + ad = 0 (ROADMAP item 2)",
-)
 def test_decompose_rejects_a_bc_plus_one_part_that_breaks_its_relations():
     # weights (1,1) and (-1,-1): the whole module is the bc = +1 part; ad = E_32, not -da
     b = RatMatrix.diagonal([1, 1, -1, -1])
@@ -1226,19 +1227,35 @@ def test_decompose_rejects_a_bc_plus_one_part_that_breaks_its_relations():
     d = RatMatrix.from_entries(4, 4, {(1, 2): -1})
     rep = Representation(a, b, b, d)
     assert not check_relations(rep)
-    with pytest.raises(DecompositionError):
+    with pytest.raises(DecompositionError, match=r"da \+ ad = 0 fails on side 1 of the bc = \+1 part"):
         decompose(rep)
 
 
+PILE_PIECES = [
+    *(l for r in (0, 1) for l in (simple_two(r), projective(r), omega(1, r), omega(-1, r))),
+    *(band(1, r, e) for r in (0, 1) for e in ETA_POOL),
+]
+
+
 @st.composite
-def perturbed_two_dim_piles(draw):
-    """Direct sums of V(2, 0) and V(2, 1), with up to two a or d entries between
-    the two weights reset, in a random basis or not."""
-    rep = direct_sum([build(simple_two(r)) for r in draw(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=4))])
+def perturbed_piles(draw):
+    """Direct sums of V(2, r), P(r), O^±1 V(r) and M_1(r, η), with up to two a
+    or d entries between paired weights reset, in a random basis or not.
+
+    The weights stay paired, so the weight split holds and only a^2 = 0,
+    d^2 = 0 and da + ad = 1 - bc can fail, on either part.  A reset may also
+    keep a module: an entry set to its own value, or M_1(r, η) moved to
+    another η.
+    """
+    rep = direct_sum([build(l) for l in draw(st.lists(st.sampled_from(PILE_PIECES), min_size=1, max_size=4))])
     a, b, c, d = (m.copy() for m in rep.generators())
+    weights = list(zip(b.diagonal_entries(), c.diagonal_entries()))
     for _ in range(draw(st.integers(0, 2))):
-        i, j = draw(st.integers(0, rep.dim - 1)), draw(st.integers(0, rep.dim - 1))
-        if b.data[i][i] != b.data[j][j]:
+        j = draw(st.integers(0, rep.dim - 1))
+        beta, gamma = weights[j]
+        paired = [i for i, w in enumerate(weights) if w == (-beta, -gamma)]
+        if paired:
+            i = draw(st.sampled_from(paired))
             draw(st.sampled_from([a, d])).data[i][j] = Fraction(draw(st.sampled_from([-1, 0, 1, 2])))
     rep = Representation(a, b, c, d)
     if draw(st.booleans()):
@@ -1248,15 +1265,45 @@ def perturbed_two_dim_piles(draw):
     return rep
 
 
-@given(perturbed_two_dim_piles())
+# the messages of a relation error and of a weight-split error
+BROKEN_MODULE = r"fails on side [01] of the bc = [+-]1 part$|does not send each \(b, c\) weight|not commuting involutions"
+
+
+@given(perturbed_piles())
 @settings(max_examples=150, deadline=None)
-def test_a_bc_minus_one_module_is_labelled_iff_it_is_a_module(rep):
+def test_decompose_labels_a_pile_iff_it_is_a_module(rep):
+    # a module gets labels of its dimension or a rationality gap; anything
+    # else gets the error of the relation or the weight split that fails
+    module = check_relations(rep)
     try:
         labels = decompose(rep)
-    except DecompositionError:
-        labels = None
-    assert (labels is not None) == check_relations(rep)
-    assert labels is None or set(labels) <= {simple_two(0), simple_two(1)}
+    except DecompositionError as exc:
+        assert re.search("rationality gap" if module else BROKEN_MODULE, str(exc)), str(exc)
+    else:
+        assert module
+        assert sum(map(label_dimension, labels)) == rep.dim
+
+
+def test_relations_are_checked_once_where_a_module_enters(monkeypatch):
+    calls = []
+    check = replab._check_graded
+
+    def spy(grading):
+        calls.append(grading)
+        return check(grading)
+
+    # the factors are checked when the cache is warmed; their products never are
+    labels = grid_labels(2, ETA_POOL)
+    for label in labels:
+        decompose(build(label))
+    monkeypatch.setattr(replab, "_check_graded", spy)
+    for l1, l2 in itertools.combinations_with_replacement(labels, 2):
+        assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
+    assert calls == []
+    # a module given by its matrices is checked when its grading is made, and only then
+    rep = direct_sum([build(projective(0)), build(band(2, 1, '5/7'))])
+    assert decompose(rep) == decompose(rep) == sorted([projective(0), band(2, 1, '5/7')])
+    assert len(calls) == 1
 
 
 # -- braiding -----------------------------------------------------------------------
