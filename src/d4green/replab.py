@@ -27,7 +27,10 @@ The decomposition works on the (b, c) weight spaces:
    simples counted by the ranks of its a blocks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
-   rank of the J^2 block x -> adx counts them.
+   rank of the J^2 block x -> adx counts them.  Each takes two dimensions
+   of each side, so when the ranks k0 and k1 leave both sides with
+   2(k0 + k1) dimensions the part is all projective and the labelling
+   stops there.
 3. Only the rest, of radical square zero, goes to the pencil.  For each b
    eigenvalue, the a and d blocks from the top on that side to the socle on
    the other side form a matrix pencil.  Kronecker's classification of
@@ -261,6 +264,9 @@ def tensor(m: Representation, n: Representation) -> Representation:
     The product is in the Kronecker basis: vector i dim N + j is the i-th of
     M tensor the j-th of N.  Its matrices are formed when first read, and its
     weight grading comes from the factors' (see :func:`_tensor_grading`).
+    The product is never checked, as Delta is an algebra map; the relations
+    on F (x) F for a faithful module F back that
+    (``tests/test_replab.py::test_coproduct_is_an_algebra_map``).
     """
     rep = object.__new__(Representation)
     rep._init(m.dim * n.dim, None, (m, n))
@@ -268,7 +274,11 @@ def tensor(m: Representation, n: Representation) -> Representation:
 
 
 def dual(m: Representation) -> Representation:
-    """Dual module via the antipode: S(a) = ba, S(b) = b, S(c) = c, S(d) = cd."""
+    """Dual module via the antipode: S(a) = ba, S(b) = b, S(c) = c, S(d) = cd.
+
+    That S is an anti-algebra map, so that the dual is a module, is checked
+    on a faithful module (``tests/test_replab.py::test_antipode_makes_the_dual_a_module``).
+    """
     return Representation(
         (m.b @ m.a).transpose(),
         m.b.transpose(),
@@ -992,9 +1002,18 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     summand.  The quotient by it has radical square zero, as the relations
     hold (:func:`_check_graded`), and only it goes to the Kronecker pencil.
     Without projectives the quotient is the part itself.
+
+    Each P(p) takes two dimensions of each side: u and adu on side p, au and
+    du on side 1 - p.  So with k_p the rank on side p, the projectives fill
+    the part exactly when both sides have 2(k0 + k1) dimensions, and then
+    neither the quotient nor the pencil runs.  A zero J^2 block has no
+    pivots, which its zero count shows without an elimination.
     """
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
-    tops = [m.rref()[1] for m in sq]
+    tops = [() if m.is_zero() else m.rref()[1] for m in sq]
+    projectives = [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
+    if part.dims == (2 * len(projectives),) * 2:
+        return projectives
     core = part
     if any(tops):
         span = []
@@ -1004,7 +1023,7 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
             span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
         proj, free = zip(*map(quotient_maps, span))
         core = _Graded(*(tuple(proj[1 - p] @ x[p].take(range(x[p].rows), free[p]) for p in (0, 1)) for x in part))
-    return _ll2_labels(core) + [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
+    return _ll2_labels(core) + projectives
 
 
 def decompose(rep: Representation) -> list[Label]:

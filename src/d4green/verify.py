@@ -308,6 +308,9 @@ def _check_braiding_pair(pair: tuple[Label, Label]) -> str | None:
 
 
 def run_scope(scope: str, max_s: int, etas, seed: int, jobs: int) -> list[Report]:
+    """The reports of one scope, or of all three in turn; max_s is checked before any runs."""
+    if max_s < 1:
+        raise ValueError("max_s must be at least 1")
     runners = {
         "table": run_table,
         "presentation": run_presentation,

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from d4green import cli, green
+from d4green import cli, green, verify
 from d4green.cli import main
 from d4green.grammar import parse_pres_element
 from d4green.green import GreenElement, projective
@@ -180,6 +180,19 @@ def test_repeated_eta_exits_2(capsys, scope, etas, repeated):
     code, out, err = run(capsys, "verify", scope, "--max-s", "1", "--etas", etas)
     assert (code, out) == (2, "")
     assert err == f"error: eta {repeated} is given more than once"
+
+
+@pytest.mark.parametrize("scope", ["table", "presentation", "braiding", "all"])
+@pytest.mark.parametrize("max_s", ["0", "-3"])
+def test_verify_max_s_below_one_exits_2(capsys, monkeypatch, scope, max_s):
+    # checked once for every scope, before any of them runs
+    def no_run(*args, **kwargs):
+        raise AssertionError("a scope ran")
+
+    for name in ("run_table", "run_presentation", "run_braiding"):
+        monkeypatch.setattr(verify, name, no_run)
+    code, out, err = run(capsys, "verify", scope, "--max-s", max_s)
+    assert (code, out, err) == (2, "", "error: max_s must be at least 1")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "3"])

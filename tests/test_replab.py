@@ -106,6 +106,29 @@ def test_tensor_satisfies_relations():
     assert check_relations(tensor(build(simple_two(0)), build(simple_two(0))))
 
 
+# F is faithful: the regular representation is 2 V(2, 0) + 2 V(2, 1) + P(0) + P(1),
+# so every summand of it is a summand of F.  Then D(H4) acts faithfully on F and
+# D(H4) (x) D(H4) on F (x) F, and an identity in either holds on every module
+# once it holds on F or on F (x) F.
+FAITHFUL = (projective(0), projective(1), simple_two(0), simple_two(1))
+
+
+def faithful_module() -> Representation:
+    return direct_sum([build(l) for l in FAITHFUL])
+
+
+def test_coproduct_is_an_algebra_map():
+    # Delta of each defining relation vanishes in D(H4) (x) D(H4) iff it does on F (x) F
+    f = faithful_module()
+    assert f.dim == 12
+    assert check_relations(tensor(f, f))
+
+
+def test_antipode_makes_the_dual_a_module():
+    # S reverses products; the relations hold on F* iff S is an anti-algebra map
+    assert check_relations(dual(faithful_module()))
+
+
 # -- monoidal structure ----------------------------------------------------------
 
 
@@ -825,6 +848,31 @@ def test_projectives_split_off_before_the_pencil(monkeypatch):
     assert seen == [(1, 0)]
 
 
+def test_a_product_of_projectives_never_reaches_the_pencil(monkeypatch):
+    calls = []
+    ll2 = replab._ll2_labels
+
+    def spy(part):
+        calls.append(part.dims)
+        return ll2(part)
+
+    monkeypatch.setattr(replab, "_ll2_labels", spy)
+    labels = grid_labels(2, ETA_POOL)
+    projectives = {LabelKind.SIMPLE_TWO, LabelKind.PROJECTIVE}
+    wholly_projective = 0
+    for l1, l2 in itertools.combinations_with_replacement(labels, 2):
+        calls.clear()
+        expected = expand(mul_labels(l1, l2))
+        assert decompose(tensor(build(l1), build(l2))) == expected
+        if all(l.kind in projectives for l in expected):
+            wholly_projective += 1
+            assert calls == [], (l1, l2)
+        else:
+            assert len(calls) == 1, (l1, l2)
+    # the pairs with a P(r) or V(2, r) factor, and the pairs of bands at distinct η
+    assert wholly_projective == 290
+
+
 def test_decompose_rejects_nonzero_radical_square_without_projectives():
     rep = build(projective(0))
     a = rep.a.copy()
@@ -1245,9 +1293,11 @@ def perturbed_piles(draw):
     The weights stay paired, so the weight split holds and only a^2 = 0,
     d^2 = 0 and da + ad = 1 - bc can fail, on either part.  A reset may also
     keep a module: an entry set to its own value, or M_1(r, η) moved to
-    another η.
+    another η.  Draws the module and the labels of its pieces, or None in
+    place of the labels once an entry is reset.
     """
-    rep = direct_sum([build(l) for l in draw(st.lists(st.sampled_from(PILE_PIECES), min_size=1, max_size=4))])
+    pieces = draw(st.lists(st.sampled_from(PILE_PIECES), min_size=1, max_size=4))
+    rep = direct_sum([build(l) for l in pieces])
     a, b, c, d = (m.copy() for m in rep.generators())
     weights = list(zip(b.diagonal_entries(), c.diagonal_entries()))
     for _ in range(draw(st.integers(0, 2))):
@@ -1257,12 +1307,13 @@ def perturbed_piles(draw):
         if paired:
             i = draw(st.sampled_from(paired))
             draw(st.sampled_from([a, d])).data[i][j] = Fraction(draw(st.sampled_from([-1, 0, 1, 2])))
+            pieces = None
     rep = Representation(a, b, c, d)
     if draw(st.booleans()):
         import random
 
         rep = _conjugate(rep, random.Random(draw(st.integers(0, 2**16))))
-    return rep
+    return rep, pieces
 
 
 # the messages of a relation error and of a weight-split error
@@ -1271,17 +1322,21 @@ BROKEN_MODULE = r"fails on side [01] of the bc = [+-]1 part$|does not send each 
 
 @given(perturbed_piles())
 @settings(max_examples=150, deadline=None)
-def test_decompose_labels_a_pile_iff_it_is_a_module(rep):
+def test_decompose_labels_a_pile_iff_it_is_a_module(pile):
     # a module gets labels of its dimension or a rationality gap; anything
-    # else gets the error of the relation or the weight split that fails
+    # else gets the error of the relation or the weight split that fails.
+    # A pile left as built gets the labels of its pieces.
+    rep, pieces = pile
     module = check_relations(rep)
     try:
         labels = decompose(rep)
     except DecompositionError as exc:
+        assert pieces is None, str(exc)
         assert re.search("rationality gap" if module else BROKEN_MODULE, str(exc)), str(exc)
     else:
         assert module
         assert sum(map(label_dimension, labels)) == rep.dim
+        assert pieces is None or labels == sorted(pieces)
 
 
 def test_relations_are_checked_once_where_a_module_enters(monkeypatch):
