@@ -28,6 +28,7 @@ import os
 import sys
 
 from .grammar import (
+    ParseError,
     element_to_json,
     parse_element,
     parse_eta,
@@ -42,12 +43,20 @@ from .verify import DEFAULT_ETAS, run_scope
 
 
 def _parse_etas(csv: str):
-    """Comma-separated etas; an empty or blank list means no bands."""
-    parts = csv.split(",") if csv.strip() else []
-    for i, part in enumerate(parts, 1):
+    """Comma-separated etas; an empty or blank list means no bands.
+
+    A parse error's position counts from the start of the whole list.
+    """
+    etas, start = [], 0
+    for i, part in enumerate(csv.split(",") if csv.strip() else [], 1):
         if not part.strip():
             raise ValueError(f"--etas item {i} of {csv!r} is empty")
-    return tuple(parse_eta(part) for part in parts)
+        try:
+            etas.append(parse_eta(part))
+        except ParseError as exc:
+            raise ParseError(exc.message, start + exc.pos) from None
+        start += len(part) + 1
+    return tuple(etas)
 
 
 def _emit(args, element=None, pres=None) -> None:

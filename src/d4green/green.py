@@ -87,15 +87,20 @@ ETA_INF = Eta(None)
 
 
 def eta(x) -> Eta:
-    """Coerce an int, Fraction, 'p/q' string or 'oo' to an Eta."""
+    """Coerce an Eta, an int, a Fraction, or a string in the grammar's eta syntax (oo or [-]p[/q]) to an Eta.
+
+    Anything else, a bool or a float included, raises ValueError, and so
+    does a string outside the syntax, such as '0.5' or '1/0'.
+    """
     if isinstance(x, Eta):
         return x
     if isinstance(x, str):
-        s = x.strip()
-        if s == "oo":
-            return ETA_INF
-        return Eta(Fraction(s))
-    return Eta(Fraction(x))
+        from .grammar import parse_eta  # grammar imports this module
+
+        return parse_eta(x)
+    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        raise ValueError(f"eta must be an Eta, an int, a Fraction or a string, got {x!r}")
+    return Eta(x)
 
 
 _STRING_KINDS = (LabelKind.SYZYGY, LabelKind.COSYZYGY, LabelKind.BAND)

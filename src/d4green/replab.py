@@ -301,18 +301,16 @@ def direct_sum(reps: list[Representation]) -> Representation:
 
 
 def hom_space(m: Representation, n: Representation) -> list[RatMatrix]:
-    """Basis of the intertwiners: all F with F a_M = a_N F (and likewise for b, c, d)."""
-    nm, nn = m.dim, n.dim
-    i_m = RatMatrix.identity(nm)
-    i_n = RatMatrix.identity(nn)
-    stacked = RatMatrix.block(
-        [[i_m.kron(xn) - xm.transpose().kron(i_n)] for xm, xn in zip(m.generators(), n.generators())]
-    )
-    # column-major unvec: entry (i, j) of F sits at index j*nn + i
-    return [
-        RatMatrix.from_columns([vec[j * nn : (j + 1) * nn] for j in range(nm)], rows=nn)
-        for vec in stacked.kernel_basis().columns()
-    ]
+    """Basis of the intertwiners F: M -> N, as the invariants of N (x) M* (C. Kassel, *Quantum Groups*, 1995).
+
+    Vector j dim M + i of N (x) M* is entry F[j, i], and the invariants are
+    its vectors of weight (1, 1) that a and d kill: one kernel.  A non-module
+    raises DecompositionError from its grading.
+    """
+    g = tensor(n, dual(m))._weights()
+    kernel = RatMatrix.block([[g.plus.a[0]], [g.plus.d[0]]]).kernel_basis()
+    vecs = (g.basis()[0] @ kernel).columns()
+    return [RatMatrix.from_rows(v[j * m.dim : (j + 1) * m.dim] for j in range(n.dim)) for v in vecs]
 
 
 def is_isomorphic(m: Representation, n: Representation) -> bool:
@@ -327,7 +325,8 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
     -dim..dim is singular with probability at most dim/(2 dim + 1) < 1/2,
     and all 32 draws miss with probability below 2^-32.  The draws use a
     fixed seed, so the answer is deterministic; if neither certificate is
-    found the test raises rather than guess.
+    found the test raises rather than guess.  When the dimensions agree, a
+    non-module raises DecompositionError from its grading, as in decompose.
     """
     if m.dim != n.dim:
         return False

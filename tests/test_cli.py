@@ -1,6 +1,8 @@
 import json
 import multiprocessing
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +133,17 @@ def test_bad_eta_csv_exits_2(capsys):
         code, out, err = run(capsys, "verify", "table", "--etas", etas)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and "internal" not in err
+
+
+@pytest.mark.parametrize(
+    "etas, message",
+    [("oo,5/7,x", "expected an unsigned integer (at position 7)"),
+     ("0, 1/0", "zero denominator (at position 3)"),
+     ("0,zz", "expected an unsigned integer (at position 2)")],
+)
+def test_bad_eta_position_counts_from_the_start_of_the_list(capsys, etas, message):
+    code, out, err = run(capsys, "verify", "table", "--max-s", "1", "--etas", etas)
+    assert (code, out, err) == (2, "", f"error: {message}")
 
 
 @pytest.mark.parametrize("etas, item", [("0,,1", 2), ("0,", 2), (",", 1)])
@@ -272,3 +285,22 @@ def test_json_output_stable_across_runs(capsys):
     second = run(capsys, "multiply", "[M_1(0,oo)]", "[O^2V(1)] + [V(1)]", "--format", "json")[1]
     assert first == second
     json.loads(first)
+
+
+def _readme_examples():
+    """The (argv, output) pairs of the ``d4green ... # -> output`` lines of README "Command line"."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    return [
+        (shlex.split(command)[1:], output)
+        for command, output in re.findall(r"^(d4green .*?)\s*# -> (.*)$", section, re.MULTILINE)
+    ]
+
+
+def test_readme_has_command_line_examples():
+    assert len(_readme_examples()) == 7
+
+
+@pytest.mark.parametrize("argv, output", _readme_examples(), ids=lambda x: " ".join(x) if isinstance(x, list) else None)
+def test_readme_command_line_examples_match(capsys, argv, output):
+    assert run(capsys, *argv)[:2] == (0, output)

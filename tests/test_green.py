@@ -64,6 +64,22 @@ EVERY_KIND = [simple_one(1), simple_two(0), projective(1), omega(2, 0), omega(-3
 ]
 
 
+@pytest.mark.parametrize("x", [True, 0.1, 0.5, None, "0.5", "1/0", "1e3", "+5", "5/-7", "o o"], ids=repr)
+def test_eta_rejects_what_the_grammar_does_not_read(x):
+    # a float became a binary fraction, True became 1 and '1/0' a ZeroDivisionError
+    with pytest.raises(ValueError):
+        eta(x)
+    with pytest.raises(ValueError):
+        band(1, 0, x)
+
+
+def test_eta_reads_the_grammar_syntax():
+    e = eta(Fraction(5, 7))
+    assert eta(e) is e
+    assert eta(" 5/7 ") == eta("10/14") == e == Eta(Fraction(5, 7))
+    assert (eta("oo"), eta("-2"), eta(-2), eta("0"), eta(0)) == (ETA_INF, Eta(-2), Eta(-2), Eta(0), Eta(0))
+
+
 @pytest.mark.parametrize("label", EVERY_KIND, ids=str)
 def test_labels_survive_pickle_and_copy(label):
     for twin in (pickle.loads(pickle.dumps(label)), copy.copy(label), copy.deepcopy(label)):

@@ -26,7 +26,7 @@ from d4green.green import (
     simple_one,
     simple_two,
 )
-from d4green.linalg import _ZERO, RatMatrix
+from d4green.linalg import _ZERO, RatMatrix, span_basis
 from d4green.verify import DEFAULT_ETAS, grid_labels
 from d4green.replab import (
     DecompositionError,
@@ -224,6 +224,91 @@ def test_hom_space_basis_intertwines():
     for f in hom_space(m, n):
         for xm, xn in zip(m.generators(), n.generators()):
             assert f @ xm == xn @ f
+
+
+def _dense_hom_space(m, n):
+    # the reference: the kernel of F x_M = x_N F stacked over all four generators, in dim M dim N unknowns
+    nm, nn = m.dim, n.dim
+    i_m, i_n = RatMatrix.identity(nm), RatMatrix.identity(nn)
+    stacked = RatMatrix.block(
+        [[i_m.kron(xn) - xm.transpose().kron(i_n)] for xm, xn in zip(m.generators(), n.generators())]
+    )
+    # column-major unvec: entry (i, j) of F sits at index j*nn + i
+    return [
+        RatMatrix.from_columns([vec[j * nn : (j + 1) * nn] for j in range(nm)], rows=nn)
+        for vec in stacked.kernel_basis().columns()
+    ]
+
+
+def _hom_span(maps, m, n):
+    # the reduced echelon basis of the span of the maps, each read column by column as one vector
+    return span_basis(RatMatrix.from_columns([[x for col in f.columns() for x in col] for f in maps], rows=m.dim * n.dim))
+
+
+def _assert_hom_matches_the_dense_formula(m, n):
+    hom = hom_space(m, n)
+    for f in hom:
+        assert (f.rows, f.cols) == (n.dim, m.dim)
+        assert all(f @ xm == xn @ f for xm, xn in zip(m.generators(), n.generators()))
+    assert _hom_span(hom, m, n) == _hom_span(_dense_hom_space(m, n), m, n)
+
+
+def test_hom_space_matches_the_dense_formula_on_the_grid():
+    for l1, l2 in itertools.product(grid_labels(2, ETA_POOL), repeat=2):
+        _assert_hom_matches_the_dense_formula(build(l1), build(l2))
+
+
+def test_hom_space_matches_the_dense_formula_on_products_and_conjugates():
+    import random
+
+    rng = random.Random(5)
+    product = tensor(build(omega(4, 0)), build(omega(-4, 0)))
+    for label in (omega(4, 1), band(3, 0, '5/7')):
+        _assert_hom_matches_the_dense_formula(build(label), product)
+    pile = direct_sum([build(l) for l in (omega(1, 0), simple_two(1), band(1, 0, '5/7'))])
+    for m, n in (
+        (_conjugate(build(omega(1, 0)), rng), build(projective(1))),
+        (build(projective(0)), _conjugate(build(projective(0)), rng)),
+        (_conjugate(build(band(2, 0, '5/7')), rng), _conjugate(build(band(2, 0, '5/7')), rng)),
+        (_conjugate(pile, rng), tensor(build(omega(1, 0)), _conjugate(build(simple_two(0)), rng))),
+    ):
+        _assert_hom_matches_the_dense_formula(m, n)
+        _assert_hom_matches_the_dense_formula(n, m)
+
+
+def test_hom_space_and_is_isomorphic_reject_a_non_module():
+    # a keeps weight (1, 1); the dense system found one "intertwiner" of it
+    bad = Representation(RatMatrix.from_rows([[0, 1], [1, 0]]), RatMatrix.identity(2), RatMatrix.identity(2),
+                         RatMatrix.zeros(2, 2))
+    module = build(simple_two(0))
+    for call in (lambda: hom_space(bad, module), lambda: hom_space(module, bad), lambda: is_isomorphic(bad, module),
+                 lambda: is_isomorphic(bad, bad)):
+        with pytest.raises(DecompositionError, match="a does not send each"):
+            call()
+
+
+def test_is_isomorphic_on_a_conjugated_direct_sum():
+    import random
+
+    pieces = [omega(2, 0), band(2, 1, eta(2)), projective(0), simple_two(1)]
+    rep = direct_sum([build(l) for l in pieces])
+    assert rep.dim == 15
+    conj = _conjugate(rep, random.Random(11))
+    assert is_isomorphic(conj, rep) and is_isomorphic(rep, conj)
+    for flip in range(len(pieces)):
+        flipped = [l._replace(r=l.r ^ 1) if k == flip else l for k, l in enumerate(pieces)]
+        assert not is_isomorphic(conj, direct_sum([build(l) for l in flipped]))
+
+
+def test_hom_from_the_unit_into_a_product_is_hom_from_the_dual():
+    # rigidity: Hom(V(0), M (x) N) = Hom(N*, M), and N* is the standard model of dual_label(N)
+    def h(x, y):
+        return len(hom_space(x, y))
+
+    unit = build(simple_one(0))
+    for l1, l2 in itertools.combinations_with_replacement(grid_labels(2, ETA_POOL), 2):
+        m, n = build(l1), build(l2)
+        assert h(unit, tensor(m, n)) == h(dual(n), m) == h(build(dual_label(l2)), m), (l1, l2)
 
 
 def test_is_isomorphic_examples():
