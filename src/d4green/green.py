@@ -57,15 +57,15 @@ class Eta(BasisTuple, _EtaFields):
     A one-field tuple ``(value,)``.  Finite points are kept as exact
     fractions (lowest terms, positive denominator, which ``Fraction``
     guarantees); the constructor turns an int into one and rejects any
-    other type.  Equality and hashing are the tuple's; the order is
-    ``sort_key``'s.
+    other type, a bool included.  Equality and hashing are the tuple's;
+    the order is ``sort_key``'s.
     """
 
     __slots__ = ()
 
     def __new__(cls, value: Fraction | int | None = None):
         if value is not None and type(value) is not Fraction:
-            if not isinstance(value, (int, Fraction)):
+            if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
                 raise ValueError(f"eta must be a Fraction, an int or None, got {value!r}")
             value = Fraction(value)
         return _tuple_new(cls, (value,))
@@ -120,8 +120,10 @@ class Label(BasisTuple, _LabelFields):
     __slots__ = ()
 
     def __new__(cls, kind: LabelKind, r: int, s: int = 0, eta: Eta | None = None):
-        if r not in (0, 1):
-            raise ValueError(f"residue must be 0 or 1, got {r}")
+        if type(r) is not int or r not in (0, 1):
+            raise ValueError(f"residue must be 0 or 1, got {r!r}")
+        if type(s) is not int:
+            raise ValueError(f"s must be an int, got {s!r}")
         if type(kind) is not LabelKind:
             # products dispatch on kind by identity
             kind = LabelKind(kind)

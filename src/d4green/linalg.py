@@ -349,14 +349,6 @@ class RatMatrix:
     def is_invertible(self) -> bool:
         return self.rows == self.cols and self.rank() == self.rows
 
-    def inverse(self) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        inv = self.solve_matrix(RatMatrix.identity(self.rows))
-        if inv is None:
-            raise ValueError("matrix is singular")
-        return inv
-
 
 def _row_nonzeros(row: list[Fraction]) -> list[tuple[int, Fraction]]:
     """(column, entry) of the nonzero entries of a row."""

@@ -71,8 +71,10 @@ class PresMonomial(BasisTuple, _PresFields):
     __slots__ = ()
 
     def __new__(cls, g: int, kind: PresKind, n: int = 0, eta: Eta | None = None):
-        if g not in (0, 1):
+        if type(g) is not int or g not in (0, 1):
             raise ValueError("g exponent must be 0 or 1")
+        if type(n) is not int:
+            raise ValueError(f"n must be an int, got {n!r}")
         if type(kind) is not PresKind:
             # products dispatch on kind by identity
             kind = PresKind(kind)

@@ -17,14 +17,13 @@ The decomposition works on the (b, c) weight spaces:
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
    (-β, -γ).  A module keeps its weight grading: the a and d blocks between
    paired weight spaces.  For a module given by its matrices,
-   :func:`_weight_split` reads the weights off the diagonals of b and c
-   (every standard model has them diagonal; joint eigenvectors are computed
-   only in other bases), and :func:`_check_graded` checks the relations
-   left on the blocks, the one check of a module's relations.  A tensor
-   product builds its blocks from its factors' (:func:`_tensor_grading`),
-   as b and c are grouplike, and is not checked again.  Weights (1,-1) and
-   (-1,1) make up the bc = -1 part, a semisimple pile of two-dimensional
-   simples counted by the ranks of its a blocks.
+   :func:`_weight_split` finds each weight's basis (off the diagonals of b
+   and c, or as a joint kernel) and solves for each block against it, and
+   :func:`_check_graded` checks the relations left on the blocks, the one
+   check of a module's relations.  A tensor product builds its blocks from
+   its factors' (:func:`_tensor_grading`), as b and c are grouplike, and is
+   not checked again.  Weights (1,-1) and (-1,1) make up the bc = -1 part, a
+   semisimple pile of two-dimensional simples counted by its a blocks' ranks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
    rank of the J^2 block x -> adx counts them.  Each takes two dimensions
@@ -365,35 +364,14 @@ class _Graded(NamedTuple):
         return self.a[0].cols, self.a[1].cols
 
 
-def _joint_eigenbasis(rep: Representation) -> tuple[Representation, RatMatrix]:
-    """rep in a basis of joint eigenvectors of b and c, listed by weight, and that basis.
-
-    Raises DecompositionError when the joint kernels do not fill the module.
-    """
-    n = rep.dim
-    spaces = [
-        RatMatrix.block([[rep.b.shift(-beta)], [rep.c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS
-    ]
-    dims = [space.cols for space in spaces]
-    if sum(dims) != n:
-        raise DecompositionError(
-            "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
-            f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
-        )
-    pmat = RatMatrix.block([spaces])
-    pinv = pmat.inverse()
-    b, c = (RatMatrix.diagonal([w[k] for w, dim in zip(_WEIGHTS, dims) for _ in range(dim)]) for k in (0, 1))
-    return Representation(pinv @ rep.a @ pmat, b, c, pinv @ rep.d @ pmat), pmat
-
-
 class _Grading(NamedTuple):
     """The (b, c) weight grading of a module.
 
     plus and minus are the bc = +1 and bc = -1 parts, cut from the module
     written in a weight basis (b and c diagonal).  groups lists per weight
     in ``_WEIGHTS`` order the indices of its vectors in that basis.  pmat is
-    None when the module is given in that basis, and otherwise the matrix
-    of that basis.
+    None when b and c are diagonal, and otherwise the matrix of that basis:
+    the joint kernels of :func:`_weight_split`, weight by weight.
     """
 
     plus: _Graded
@@ -416,29 +394,43 @@ def _graded_in_weight_basis(a: list[RatMatrix], d: list[RatMatrix], groups: list
 def _weight_split(rep: Representation) -> _Grading:
     """The (b, c) weight spaces of a module given by its matrices, and the a, d blocks between them.
 
-    Weights are read off the diagonals of b and c; a module in another basis
-    is first rewritten by :func:`_joint_eigenbasis`.  Raises
-    DecompositionError when a or d has a part outside the flipped weight.
-
-    The checks count zeros at C speed, never test entry by entry.  Once each
-    diagonal entry is a weight, b and c are diagonal iff they have n - 1
-    zeros per row, that is n(n - 1) in all, as no row has more.  Likewise a
-    or d stays in the flipped weights iff its zeros outside the blocks are
-    as many as its entries outside them.
+    Each weight w gets its basis K_w: where b and c are diagonal (the standard
+    models, and their ``tensor``, ``dual`` and ``direct_sum``), the unit
+    vectors where the diagonals read w, with no elimination; otherwise the
+    reduced joint kernel of b - beta over c - gamma.  The block of x = a, d
+    from w to w ^ 1 is the solution X of K_{w^1} X = x K_w.  Raises
+    DecompositionError when the K_w do not fill the module, or when a solve
+    fails, as x then sends part of w outside w ^ 1 (a before d, lowest w
+    first).  ``tests/test_replab.py`` takes the two routes in
+    ``test_standard_models_split_without_a_kernel`` and
+    ``test_regular_representation_decomposes``.
     """
-    n = rep.dim
-    weights = list(zip(rep.b.diagonal_entries(), rep.c.diagonal_entries()))
+    n, b, c = rep.dim, rep.b, rep.c
+    weights = list(zip(b.diagonal_entries(), c.diagonal_entries()))
     groups = [[i for i, x in enumerate(weights) if x == w] for w in _WEIGHTS]
-    if sum(map(len, groups)) != n or rep.b.zero_count() + rep.c.zero_count() != 2 * n * (n - 1):
-        rewritten, pmat = _joint_eigenbasis(rep)
-        return _weight_split(rewritten)._replace(pmat=pmat)
+    # once each diagonal entry is a weight, b and c are diagonal iff they have n(n - 1) zeros each
+    if sum(map(len, groups)) == n and b.zero_count() + c.zero_count() == 2 * n * (n - 1):
+        pmat, spaces = None, [RatMatrix.identity(n).take(range(n), group) for group in groups]
+    else:
+        spaces = [RatMatrix.block([[b.shift(-beta)], [c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS]
+        dims = [space.cols for space in spaces]
+        if sum(dims) != n:
+            raise DecompositionError(
+                "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
+                f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
+            )
+        pmat = RatMatrix.block([spaces])
+        groups = [list(range(sum(dims[:w]), sum(dims[: w + 1]))) for w in range(len(_WEIGHTS))]
     blocks = []
     for name, x in (("a", rep.a), ("d", rep.d)):
-        block = [x.take(groups[w ^ 1], cols) for w, cols in enumerate(groups)]
-        if x.zero_count() - sum(m.zero_count() for m in block) != n * n - sum(m.rows * m.cols for m in block):
-            _raise_outside_flipped_weight(name, x, groups)
-        blocks.append(block)
-    return _graded_in_weight_basis(*blocks, groups)
+        blocks.append([spaces[w ^ 1].solve_matrix(x @ space) for w, space in enumerate(spaces)])
+        if None in blocks[-1]:
+            w = blocks[-1].index(None)
+            raise DecompositionError(
+                f"{name} does not send each (b, c) weight to its negative: "
+                f"it sends part of weight {_WEIGHTS[w]} outside weight {_WEIGHTS[w ^ 1]}"
+            )
+    return _graded_in_weight_basis(*blocks, groups)._replace(pmat=pmat)
 
 
 # _WEIGHT_PRODUCT[w][v] is the weight, as an index into _WEIGHTS, of a product of vectors of weights w and v.
@@ -499,18 +491,6 @@ def _tensor_grading(m: Representation, n: Representation) -> _Grading:
         return grading
     pmat_m, pmat_n = (RatMatrix.identity(x.dim) if g.pmat is None else g.pmat for x, g in ((m, gm), (n, gn)))
     return grading._replace(pmat=pmat_m.kron(pmat_n))
-
-
-def _raise_outside_flipped_weight(name: str, gen: RatMatrix, groups: list[list[int]]):
-    """Name the least weight whose part the generator sends outside its negative."""
-    weight = {i: w for w, group in enumerate(groups) for i in group}
-    kept = [
-        weight[j] for j, col in enumerate(gen.columns()) for i, x in enumerate(col) if x and weight[i] != weight[j] ^ 1
-    ]
-    raise DecompositionError(
-        f"{name} does not send each (b, c) weight to its negative: "
-        f"it sends part of weight {_WEIGHTS[min(kept)]} outside weight {_WEIGHTS[min(kept) ^ 1]}"
-    )
 
 
 def _check_graded(grading: _Grading) -> _Grading:
@@ -1069,7 +1049,10 @@ def r_matrix_action(m: Representation, n: Representation) -> RatMatrix:
 
 
 def braiding_check(m: Representation, n: Representation) -> bool:
-    """Whether flip . R is an invertible intertwiner M(x)N -> N(x)M."""
+    """Whether flip . R is an invertible intertwiner M(x)N -> N(x)M.
+
+    ``tests/test_replab.py::test_r_matrix_braids_the_faithful_module`` checks R on every module.
+    """
     nm, nn = m.dim, n.dim
     # the flip sends row i*nn + j of R to row j*nm + i
     f = r_matrix_action(m, n).take([i * nn + j for j in range(nn) for i in range(nm)], range(nm * nn))

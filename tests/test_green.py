@@ -29,6 +29,7 @@ from d4green.green import (
     simple_one,
     simple_two,
 )
+from d4green.presentation import PresKind, PresMonomial
 from d4green.verify import grid_labels
 
 PROJECTIVE_KINDS = {LabelKind.PROJECTIVE, LabelKind.SIMPLE_TWO}
@@ -103,6 +104,26 @@ def test_label_and_eta_order_is_sort_key():
             for b in values:
                 ka, kb = a.sort_key(), b.sort_key()
                 assert (a < b, a > b, a <= b, a >= b, a == b) == (ka < kb, ka > kb, ka <= kb, ka >= kb, ka == kb)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Label(LabelKind.SYZYGY, 0, True),
+        lambda: Label(LabelKind.BAND, True, 1, Eta(0)),
+        lambda: Eta(True),
+        lambda: Label(LabelKind.SYZYGY, 0, 2.0),
+        lambda: Label(LabelKind.BAND, 0, 1.5, Eta(0)),
+        lambda: omega(2.0, 0),
+        lambda: PresMonomial(True, PresKind.ONE),
+        lambda: PresMonomial(0, PresKind.Y, 2.5),
+    ],
+    ids=["syzygy-s-True", "band-r-True", "Eta-True", "syzygy-s-2.0", "band-s-1.5", "omega-2.0", "g-True", "y-n-2.5"],
+)
+def test_public_constructors_reject_bools_and_floats(build):
+    # O^TrueV(0) printed, and a float size neither parsed back nor multiplied
+    with pytest.raises(ValueError):
+        build()
 
 
 @pytest.mark.parametrize(

@@ -129,6 +129,47 @@ def test_antipode_makes_the_dual_a_module():
     assert check_relations(dual(faithful_module()))
 
 
+def test_r_matrix_braids_the_faithful_module():
+    # flip . R intertwines M (x) N and N (x) M for all modules iff it does for F (x) F
+    f = faithful_module()
+    assert braiding_check(f, f)
+
+
+def regular_module() -> Representation:
+    """D(H4) acting on itself by left multiplication, on the PBW basis a^i b^j c^k d^l, i, j, k, l in {0, 1}."""
+    index = {word: t for t, word in enumerate(itertools.product((0, 1), repeat=4))}
+    a, b, c, d = ({} for _ in range(4))  # {(row, column): coefficient}
+
+    def add(gen, word, col, x):
+        key = (index[word], col)
+        gen[key] = gen.get(key, 0) + x
+
+    for (i, j, k, l), col in index.items():
+        # a^2 = 0; ba = -ab, b^2 = 1; ca = -ac, cb = bc, c^2 = 1
+        if i == 0:
+            add(a, (1, j, k, l), col, 1)
+        add(b, (i, 1 - j, k, l), col, (-1) ** i)
+        add(c, (i, j, 1 - k, l), col, (-1) ** i)
+        # d b^j c^k = (-1)^(j + k) b^j c^k d, d^2 = 0, and da = 1 - bc - ad
+        sign = (-1) ** (j + k)
+        if i == 1:
+            add(d, (0, j, k, l), col, 1)
+            add(d, (0, 1 - j, 1 - k, l), col, -1)
+        if l == 0:
+            add(d, (i, j, k, 1), col, -sign if i else sign)
+    return Representation(*(RatMatrix.from_entries(16, 16, gen) for gen in (a, b, c, d)))
+
+
+def test_regular_representation_decomposes():
+    # each indecomposable projective comes as often as the dimension of its simple top
+    reg = regular_module()
+    assert check_relations(reg) and check_relations(dual(reg))
+    # b is a signed permutation, so the weight split takes joint kernels
+    assert reg._weights().pmat is not None
+    expected = [simple_two(0), simple_two(0), simple_two(1), simple_two(1), projective(0), projective(1)]
+    assert decompose(reg) == sorted(expected)
+
+
 # -- monoidal structure ----------------------------------------------------------
 
 
@@ -538,7 +579,7 @@ def conjugated_jordan_sums(draw):
         if i != j:
             # add t times row j to row i: an elementary integer matrix of determinant 1
             p = RatMatrix.from_entries(m, m, {(k, k): 1 for k in range(m)} | {(i, j): draw(st.integers(-2, 2))}) @ p
-    return p @ RatMatrix.from_entries(m, m, entries) @ p.inverse(), blocks
+    return p @ RatMatrix.from_entries(m, m, entries) @ p.solve_matrix(RatMatrix.identity(m)), blocks
 
 
 @given(conjugated_jordan_sums())
@@ -660,7 +701,7 @@ def _conjugate(rep, rng):
         )
         if p.is_invertible():
             break
-    pinv = p.inverse()
+    pinv = p.solve_matrix(RatMatrix.identity(n))
     return Representation(*(p @ x @ pinv for x in rep.generators()))
 
 
@@ -684,7 +725,7 @@ def test_decompose_is_basis_independent():
     # an upper unitriangular basis change keeps the diagonals of b and c
     n = rep.dim
     shear = RatMatrix.from_rows([[int(i <= j) for j in range(n)] for i in range(n)])
-    sheared = Representation(*(shear @ x @ shear.inverse() for x in rep.generators()))
+    sheared = Representation(*(shear @ x @ shear.solve_matrix(RatMatrix.identity(n)) for x in rep.generators()))
     for conj in (_conjugate(rep, rng), sheared):
         assert decompose(conj) == sorted(pieces)
 
@@ -733,13 +774,35 @@ def _split_with_basis(rep):
     return grading.plus, grading.minus, grading.basis()
 
 
+def _joint_eigenbasis(rep):
+    """rep rewritten as P^-1 x P in the basis P of joint eigenvectors of b and c, listed by weight, and P.
+
+    The reference for _weight_split: raises its DecompositionError when the
+    joint kernels do not fill the module.
+    """
+    n = rep.dim
+    spaces = [
+        RatMatrix.block([[rep.b.shift(-beta)], [rep.c.shift(-gamma)]]).kernel_basis() for beta, gamma in replab._WEIGHTS
+    ]
+    dims = [space.cols for space in spaces]
+    if sum(dims) != n:
+        raise DecompositionError(
+            "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
+            f"dimensions {dict(zip(replab._WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
+        )
+    pmat = RatMatrix.block([spaces])
+    pinv = pmat.solve_matrix(RatMatrix.identity(n))
+    b, c = (RatMatrix.diagonal([w[k] for w, dim in zip(replab._WEIGHTS, dims) for _ in range(dim)]) for k in (0, 1))
+    return Representation(pinv @ rep.a @ pmat, b, c, pinv @ rep.d @ pmat), pmat
+
+
 def test_weight_read_off_matches_joint_eigenbasis_rewrite():
     labels = grid_labels(2, DEFAULT_ETAS)
     reps = [build(l) for l in grid_labels(3, DEFAULT_ETAS)]
     reps += [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
     for rep in reps:
         plus, minus, basis = _split_with_basis(rep)
-        rewritten, pmat = replab._joint_eigenbasis(rep)
+        rewritten, pmat = _joint_eigenbasis(rep)
         r_plus, r_minus, r_basis = _split_with_basis(rewritten)
         assert (r_plus, r_minus) == (plus, minus)
         assert [pmat @ m for m in r_basis] == basis
@@ -752,7 +815,7 @@ def _dense_weight_split(rep):
     groups = [[i for i in range(n) if (rep.b.data[i][i], rep.c.data[i][i]) == w] for w in replab._WEIGHTS]
     off_diagonal = any(j != i for m in (rep.b, rep.c) for i, row in enumerate(nonzeros(m.data)) for j, _ in row)
     if off_diagonal or sum(map(len, groups)) != n:
-        rewritten, pmat = replab._joint_eigenbasis(rep)
+        rewritten, pmat = _joint_eigenbasis(rep)
         plus, minus, basis = _dense_weight_split(rewritten)
         return plus, minus, [pmat @ m for m in basis]
     weight = {i: w for w, group in enumerate(groups) for i in group}
@@ -783,7 +846,7 @@ def weight_diagonal_modules(draw):
     The perturbations: up to two a/d entries set at random places (most of
     them keep a weight or move it to a third one), zeros that are fresh
     Fraction(0) objects rather than the shared zero, and a random change of
-    basis, which sends the module through the joint eigenbasis rewrite.
+    basis, which sends the module down the split's joint-kernel route.
     """
     n = draw(st.integers(min_value=1, max_value=7))
     weight = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
@@ -820,14 +883,22 @@ def test_weight_split_matches_the_dense_scan(rep):
     assert _split_or_error(_split_with_basis, rep) == _split_or_error(_dense_weight_split, rep)
 
 
-def test_standard_models_never_reach_the_joint_eigenbasis(monkeypatch):
-    def rewrite(rep):
-        raise AssertionError("a standard model reached the joint eigenbasis rewrite")
+def test_standard_models_split_without_a_kernel(monkeypatch):
+    # b and c are diagonal in every standard model, its dual and a direct sum,
+    # so the split reads the weight spaces off them and takes no kernel
+    reps = [build(l) for l in grid_labels(3, DEFAULT_ETAS)]
+    reps += [dual(rep) for rep in reps] + [direct_sum(reps[:6])]
 
-    monkeypatch.setattr(replab, "_joint_eigenbasis", rewrite)
-    replab._build_cached.cache_clear()
-    l1, l2 = omega(3, 0), omega(-3, 0)
-    assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
+    def kernel(self):
+        raise AssertionError("the weight split took a kernel")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(RatMatrix, "kernel_basis", kernel)
+        gradings = [replab._weight_split(rep) for rep in reps]
+    assert all(g.pmat is None for g in gradings)
+    labels = grid_labels(2, DEFAULT_ETAS)
+    products = [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
+    assert all(rep._weights().pmat is None for rep in reps + products)
 
 
 def test_replab_never_touches_the_row_layout_of_linalg():
@@ -900,6 +971,49 @@ def test_package_defines_no_unread_private_name():
     private = {name for tree in trees for name in module_level(tree) if name.startswith("_") and not name.startswith("__")}
     unread = sorted(private - read)
     assert private and unread == [], f"private names defined and never read: {unread}"
+
+
+# Definitions in src/ that nothing in src/ reads, and why each stays.
+READ_FROM_OUTSIDE_SRC = {
+    "check_relations": "documented API (README)",
+    "is_isomorphic": "documented API (README)",
+    "radical_basis": "documented API (README)",
+    "socle_basis": "documented API (README)",
+    "loewy_length": "documented API (README)",
+    "syzygy": "documented API (README); bench/layers.py wraps it",
+    "RatMatrix.apply": "bench/layers.py wraps it",
+    "RatMatrix.det": "bench/layers.py wraps it",
+    "express_in_basis": "bench/layers.py wraps it",
+    "BasisTuple._make": "namedtuple's _replace calls it",
+    "__all__": "read by 'from d4green import *'",
+    "__version__": "package metadata",
+}
+
+
+def test_package_defines_no_unread_name():
+    # every module-level function, class and assigned name, and every method
+    # but the dunders, is read somewhere in src/ or listed above with its reason
+    trees = [ast.parse(path.read_text()) for path in Path(replab.__file__).parent.glob("*.py")]
+    read = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    defined = []
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            methods = (m.name for m in node.body if isinstance(m, ast.FunctionDef))
+            defined += (f"{node.name}.{name}" for name in methods if not re.fullmatch(r"__\w+__", name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined += (t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+    unread = sorted(name for name in defined if name.split(".")[-1] not in read)
+    assert unread == sorted(READ_FROM_OUTSIDE_SRC)
 
 
 def test_build_runs_no_elimination(monkeypatch):
