@@ -15,12 +15,11 @@ build, stack and cut matrices with ``from_rows``, ``from_columns``,
 space is read off a reduced basis by ``_kernel``.
 
 Zero rule: a zero entry should be the shared object ``_ZERO``, as every
-zero that ``from_entries``, ``block``, ``shift`` and ``kron_plus`` write
-is.  The kernels test ``x is not _ZERO and x``, so a shared zero costs one
-identity check and any other zero falls through to ``Fraction.__bool__``.
-``is_zero`` and ``zero_count`` count zeros with ``list.count(_ZERO)`` at C
-speed: a shared zero matches by identity, and only the other entries call
-``Fraction.__eq__``.  ``__matmul__`` lists the nonzeros of a row of its
+zero that ``from_entries``, ``block`` and ``shift`` write is.  The kernels
+test ``x is not _ZERO and x``, so a shared zero costs one identity check
+and any other zero falls through to ``Fraction.__bool__``.  ``is_zero``
+counts zeros with ``list.count(_ZERO)`` at C speed: a shared zero matches
+by identity, and only the other entries call ``Fraction.__eq__``.  ``__matmul__`` lists the nonzeros of a row of its
 right operand only when a nonzero of the left operand first reaches that
 row, so a product with a sparse left operand never scans the rows it does
 not reach.  The rule changes speed, never a result.
@@ -146,13 +145,6 @@ class RatMatrix:
         """The nonzero entries as {(i, j): x}, the inverse of ``from_entries``."""
         return {(i, j): x for i, row in enumerate(self.data) for j, x in _row_nonzeros(row)}
 
-    def diagonal_entries(self) -> list[Fraction]:
-        return list(map(list.__getitem__, self.data, range(self.cols)))
-
-    def zero_count(self) -> int:
-        """The number of zero entries, counted by ``list.count`` at C speed."""
-        return sum(map(list.count, self.data, repeat(_ZERO)))
-
     def take(self, rows: Sequence[int], cols: Sequence[int]) -> "RatMatrix":
         """The submatrix at the given row and column indices, in their order."""
         if rows and not 0 <= min(rows) <= max(rows) < self.rows or cols and not 0 <= min(cols) <= max(cols) < self.cols:
@@ -261,24 +253,6 @@ class RatMatrix:
                         for l, b in orow:
                             dest[base + l] = a * b
         return RatMatrix(self.rows * rb, self.cols * cb, out)
-
-    def kron_plus(self, other: "RatMatrix", z: "RatMatrix") -> "RatMatrix":
-        """self (x) other + 1 (x) z, for square self and z of the shape of other.
-
-        1 (x) z is z in every diagonal block, so it is added into those blocks in place.
-        """
-        if self.rows != self.cols or z.rows != other.rows or z.cols != other.cols:
-            raise ValueError("kron_plus needs a square self and z of the shape of other")
-        out = self.kron(other)
-        k, m = z.rows, z.cols
-        znz = list(map(_row_nonzeros, z.data))
-        for i in range(self.rows):
-            base = i * m
-            for row, nz in zip(out.data[i * k : (i + 1) * k], znz):
-                for j, v in nz:
-                    x = row[base + j]
-                    row[base + j] = v if x is _ZERO else x + v or _ZERO
-        return out
 
     def _check_same_shape(self, other: "RatMatrix"):
         if self.rows != other.rows or self.cols != other.cols:

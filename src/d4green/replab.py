@@ -5,25 +5,25 @@ The algebra is generated by a, b, c, d with
     ba = -ab   db = -bd   ca = -ac   dc = -cd   bc = cb
     a^2 = 0    b^2 = 1    c^2 = 1    d^2 = 0    da + ad = 1 - bc
 
-A :class:`Representation` gives the four generator actions as exact
-rational matrices.  :func:`build` produces the standard model of each
-label, :func:`tensor` and :func:`dual` implement the comultiplication and
-antipode, and :func:`decompose` splits an arbitrary representation into
-labelled indecomposables -- without ever consulting the symbolic
-multiplication table, so the two can be checked against each other.
+A :class:`Representation` is given by the four generator actions as exact
+rational matrices, or made by :func:`build`, :func:`tensor`, :func:`dual`
+or :func:`direct_sum`: the standard model of each label, the
+comultiplication, the antipode and the sum.  :func:`decompose` splits an
+arbitrary representation into labelled indecomposables -- without ever
+consulting the symbolic multiplication table, so the two can be checked
+against each other.
 
 The decomposition works on the (b, c) weight spaces:
 
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
    (-β, -γ).  A module keeps its weight grading: the a and d blocks between
-   paired weight spaces.  For a module given by its matrices,
-   :func:`_weight_split` finds each weight's basis (off the diagonals of b
-   and c, or as a joint kernel) and solves for each block against it, and
-   :func:`_check_graded` checks the relations left on the blocks, the one
-   check of a module's relations.  A tensor product builds its blocks from
-   its factors' (:func:`_tensor_grading`), as b and c are grouplike, and is
-   not checked again.  Weights (1,-1) and (-1,1) make up the bc = -1 part, a
-   semisimple pile of two-dimensional simples counted by its a blocks' ranks.
+   paired weight spaces.  A made module is its grading, written from a
+   standard model's arrows or from the gradings it is made of; its matrices
+   are a view.  Only a module given by its matrices is split
+   (:func:`_weight_split`), and :func:`_check_graded` checks a split module
+   or a standard model, the one check of relations.  Weights (1,-1) and
+   (-1,1) make up the bc = -1 part, a semisimple pile of two-dimensional
+   simples counted by its a blocks' ranks.
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
    rank of the J^2 block x -> adx counts them.  Each takes two dimensions
@@ -84,16 +84,15 @@ class Representation:
 
     A module is immutable once made, and so are the matrices it is given or
     hands out.  ``Representation(a, b, c, d)`` keeps the four matrices.  A
-    module made by :func:`tensor` keeps its two factors instead and forms
-    its a, b, c and d, by the Kronecker formulas that :func:`tensor`
-    documents, when one of them is first read.  Either way the module keeps
-    its weight grading (see :func:`_weight_split`) once that is computed:
-    :func:`decompose` and the radical-series functions read it, and a tensor
-    product builds its own from its factors' gradings.  The grading is where
-    a module's relations are checked, once (see :meth:`_weights`).
+    module made by :func:`build`, :func:`tensor`, :func:`dual` or
+    :func:`direct_sum` keeps a recipe instead, a grading function and its
+    arguments, and its a, b, c and d are one view of that grading
+    (:meth:`_Grading.matrices`); so reading them raises the
+    DecompositionError of a part that is not a module.  Either way the
+    module keeps its grading, where its relations are checked, once.
     """
 
-    __slots__ = ("dim", "_gens", "_factors", "_grading")
+    __slots__ = ("dim", "_gens", "_recipe", "_grading")
 
     def __init__(self, a: RatMatrix, b: RatMatrix, c: RatMatrix, d: RatMatrix):
         n = a.rows
@@ -102,36 +101,30 @@ class Representation:
                 raise ValueError("generator actions must be square matrices of one size")
         self._init(n, (a, b, c, d), None)
 
-    def _init(self, dim: int, gens, factors):
-        for name, value in (("dim", dim), ("_gens", gens), ("_factors", factors), ("_grading", None)):
+    def _init(self, dim: int, gens, recipe):
+        for name, value in (("dim", dim), ("_gens", gens), ("_recipe", recipe), ("_grading", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Representation is immutable: cannot set {name}")
 
     def __reduce__(self):
-        # copy and pickle remake a module from its factors or its matrices, never by setting slots
-        return (tensor, self._factors) if self._factors else (Representation, self._gens)
+        # copy and pickle remake a module from its recipe or its matrices, never by setting slots
+        return (_made, (self.dim, *self._recipe)) if self._recipe else (Representation, self._gens)
 
     def generators(self) -> tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix]:
         if self._gens is None:
-            m, n = self._factors
-            gens = (m.a.kron_plus(n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron_plus(n.c, n.d))
-            object.__setattr__(self, "_gens", gens)
+            object.__setattr__(self, "_gens", self._weights().matrices())
         return self._gens
 
     a, b, c, d = (property(lambda self, k=k: self.generators()[k]) for k in range(4))
 
     def _weights(self) -> _Grading:
-        """The weight grading, computed on first use and kept.
-
-        A module given by its matrices is split and its relations checked on
-        the blocks, once.  A tensor product takes its grading from its
-        factors', whose errors it raises, and is not checked again.
-        """
+        """The weight grading, computed on first use and kept: a module given by its matrices is split and
+        checked, and a made module runs its recipe, which raises the errors of the modules it is made from."""
         if self._grading is None:
-            grading = _tensor_grading(*self._factors) if self._factors else _check_graded(_weight_split(self))
-            object.__setattr__(self, "_grading", grading)
+            made = self._recipe[0](*self._recipe[1:]) if self._recipe else _check_graded(_weight_split(self))
+            object.__setattr__(self, "_grading", made)
         return self._grading
 
     def __eq__(self, other) -> bool:
@@ -139,6 +132,13 @@ class Representation:
 
     def __repr__(self) -> str:
         return "Representation({})".format(", ".join(map(repr, self.generators())))
+
+
+def _made(dim: int, grading, *args) -> Representation:
+    """The module of dimension dim whose grading is grading(*args), made when first read."""
+    rep = object.__new__(Representation)
+    rep._init(dim, None, (grading, *args))
+    return rep
 
 
 class RMatrixElement(NamedTuple):
@@ -168,43 +168,22 @@ R_MATRIX = RMatrixElement(
 
 
 # -- construction of the standard models ---------------------------------
+# Each model is the weight of each vector, as an index into _WEIGHTS, and the arrows {(target, source): x} of a and d.
 
 
-def _simple_two_rep(r: int) -> Representation:
-    e = 1 if r == 0 else -1
-    a = RatMatrix.from_rows([[0, 0], [1, 0]])
-    d = RatMatrix.from_rows([[0, 2], [0, 0]])
-    b = RatMatrix.diagonal([e, -e])
-    c = RatMatrix.diagonal([-e, e])
-    return Representation(a, b, c, d)
-
-
-def _projective_rep(r: int) -> Representation:
-    e = 1 if r == 0 else -1
-    a = RatMatrix.from_entries(4, 4, {(1, 0): 1, (3, 2): 1})
-    d = RatMatrix.from_entries(4, 4, {(2, 0): 1, (3, 1): -1})
-    b = RatMatrix.diagonal([e, -e, -e, e])
-    return Representation(a, b, b.copy(), d)
-
-
-def _band_rep(s: int, r: int, e: Eta) -> Representation:
-    # basis order: v_{1,1}..v_{1,s}, v_{2,1}..v_{2,s}
-    n = 2 * s
+def _band_model(s: int, r: int, e: Eta):
+    # basis order: v_{1,1}..v_{1,s}, v_{2,1}..v_{2,s}; the tops v_{1,i} have b = c = (-1)^(r + 1)
     diagonal = {(s + i, i): 1 for i in range(s)}
     superdiagonal = {(s + i - 1, i): 1 for i in range(1, s)}
     if e.is_infinite:
-        a = RatMatrix.from_entries(n, n, superdiagonal)
-        d = RatMatrix.from_entries(n, n, diagonal)
+        a, d = superdiagonal, diagonal
     else:
-        a = RatMatrix.from_entries(n, n, diagonal)
-        d = RatMatrix.from_entries(n, n, {k: -1 for k in superdiagonal} | {k: -e.value for k in diagonal})
-    top = 1 if r == 1 else -1
-    b = RatMatrix.diagonal([top] * s + [-top] * s)
-    return Representation(a, b, b.copy(), d)
+        a, d = diagonal, {k: -1 for k in superdiagonal} | {k: -e.value for k in diagonal}
+    return [1 - r] * s + [r] * s, a, d
 
 
-def _string_rep(s: int, r: int) -> Representation:
-    """O^s V(r), s in Z: a zigzag on 2|s| + 1 vectors with b = c = diag((-1)^(s+r+i)).  The arrow between
+def _string_model(s: int, r: int):
+    """O^s V(r), s in Z: a zigzag on 2|s| + 1 vectors with b = c = (-1)^(s+r+i) on vector i.  The arrow between
     vectors i and i + 1 is d for even i and a for odd i, with coefficient 1, from the top end to the socle
     end; the tops are the even vectors for s >= 0 and the odd ones for s < 0."""
     n = 2 * abs(s) + 1
@@ -212,9 +191,32 @@ def _string_rep(s: int, r: int) -> Representation:
     for i in range(n - 1):
         top, socle = (i, i + 1) if i % 2 == (s < 0) else (i + 1, i)
         arrows[i % 2][socle, top] = 1
-    d, a = (RatMatrix.from_entries(n, n, arrow) for arrow in arrows)
-    b = RatMatrix.diagonal([1 - 2 * ((s + r + i) % 2) for i in range(n)])
-    return Representation(a, b, b.copy(), d)
+    return [(s + r + i) % 2 for i in range(n)], arrows[1], arrows[0]
+
+
+def _standard_grading(label: Label) -> _Grading:
+    """The grading of a label's standard model, gathered from its arrows; its relations are checked here."""
+    kind, r = label.kind, label.r
+    if kind is LabelKind.SIMPLE_TWO:
+        # V(2, 0) has weights (1, -1) and (-1, 1), and V(2, 1) the same swapped
+        weights, a, d = [2 + r, 3 - r], {(1, 0): 1}, {(0, 1): 2}
+    elif kind is LabelKind.PROJECTIVE:
+        weights, a, d = [r, 1 - r, 1 - r, r], {(1, 0): 1, (3, 2): 1}, {(2, 0): 1, (3, 1): -1}
+    elif kind is LabelKind.BAND:
+        weights, a, d = _band_model(label.s, r, label.eta)
+    else:
+        weights, a, d = _string_model(-label.s if kind is LabelKind.COSYZYGY else label.s, r)
+    groups = [[i for i, w in enumerate(weights) if w == v] for v in range(len(_WEIGHTS))]
+    pos = {i: t for group in groups for t, i in enumerate(group)}
+
+    def blocks(arrows: dict) -> list[RatMatrix]:
+        # an arrow from vector j lands in the block of j's weight
+        entries: list[dict] = [{} for _ in _WEIGHTS]
+        for (i, j), x in arrows.items():
+            entries[weights[j]][pos[i], pos[j]] = x
+        return [RatMatrix.from_entries(len(groups[w ^ 1]), len(groups[w]), e) for w, e in enumerate(entries)]
+
+    return _check_graded(_Grading(blocks(a), blocks(d), groups, None))
 
 
 def build(label: Label) -> Representation:
@@ -224,14 +226,7 @@ def build(label: Label) -> Representation:
 
 @lru_cache(maxsize=None)
 def _build_cached(label: Label) -> Representation:
-    kind = label.kind
-    if kind is LabelKind.SIMPLE_TWO:
-        return _simple_two_rep(label.r)
-    if kind is LabelKind.PROJECTIVE:
-        return _projective_rep(label.r)
-    if kind is LabelKind.BAND:
-        return _band_rep(label.s, label.r, label.eta)
-    return _string_rep(-label.s if kind is LabelKind.COSYZYGY else label.s, label.r)
+    return _made(label_dimension(label), _standard_grading, label)
 
 
 def check_relations(rep: Representation) -> bool:
@@ -261,39 +256,25 @@ def tensor(m: Representation, n: Representation) -> Representation:
     """Tensor product along the comultiplication a -> a(x)b + 1(x)a, d -> d(x)c + 1(x)d.
 
     The product is in the Kronecker basis: vector i dim N + j is the i-th of
-    M tensor the j-th of N.  Its matrices are formed when first read, and its
-    weight grading comes from the factors' (see :func:`_tensor_grading`).
-    The product is never checked, as Delta is an algebra map; the relations
-    on F (x) F for a faithful module F back that
-    (``tests/test_replab.py::test_coproduct_is_an_algebra_map``).
+    M tensor the j-th of N.  Its grading comes from the factors' (Delta
+    lives in :func:`_tensor_grading`), and is never checked, as Delta is an
+    algebra map (``tests/test_replab.py::test_coproduct_is_an_algebra_map``).
     """
-    rep = object.__new__(Representation)
-    rep._init(m.dim * n.dim, None, (m, n))
-    return rep
+    return _made(m.dim * n.dim, _tensor_grading, m, n)
 
 
 def dual(m: Representation) -> Representation:
     """Dual module via the antipode: S(a) = ba, S(b) = b, S(c) = c, S(d) = cd.
 
-    That S is an anti-algebra map, so that the dual is a module, is checked
-    on a faithful module (``tests/test_replab.py::test_antipode_makes_the_dual_a_module``).
+    Its grading comes from m's (S lives in :func:`_dual_grading`).  That S is an anti-algebra map, so that
+    the dual is a module, is checked on a faithful module (``test_antipode_makes_the_dual_a_module``).
     """
-    return Representation(
-        (m.b @ m.a).transpose(),
-        m.b.transpose(),
-        m.c.transpose(),
-        (m.c @ m.d).transpose(),
-    )
+    return _made(m.dim, _dual_grading, m)
 
 
 def direct_sum(reps: list[Representation]) -> Representation:
-    # the diagonal is picked by position: one cached module may come several times
-    def diagonal(k: int) -> RatMatrix:
-        return RatMatrix.block(
-            [[r.generators()[k] if j == i else None for j in range(len(reps))] for i, r in enumerate(reps)]
-        )
-
-    return Representation(*map(diagonal, range(4)))
+    """Direct sum, in the order given; its grading comes from the summands' (see :func:`_sum_grading`)."""
+    return _made(sum(rep.dim for rep in reps), _sum_grading, *reps)
 
 
 # -- hom spaces and isomorphism --------------------------------------------
@@ -307,7 +288,7 @@ def hom_space(m: Representation, n: Representation) -> list[RatMatrix]:
     raises DecompositionError from its grading.
     """
     g = tensor(n, dual(m))._weights()
-    kernel = RatMatrix.block([[g.plus.a[0]], [g.plus.d[0]]]).kernel_basis()
+    kernel = RatMatrix.block([[g.a[0]], [g.d[0]]]).kernel_basis()
     vecs = (g.basis()[0] @ kernel).columns()
     return [RatMatrix.from_rows(v[j * m.dim : (j + 1) * m.dim] for j in range(n.dim)) for v in vecs]
 
@@ -347,6 +328,7 @@ def is_isomorphic(m: Representation, n: Representation) -> bool:
 # The four (b, c) weights in the order _weight_split lists them.  Weights w
 # and w ^ 1 are paired: a and d send each to the other.
 _WEIGHTS = ((1, 1), (-1, -1), (1, -1), (-1, 1))
+_WEIGHT_FRACTIONS = [tuple(map(Fraction, w)) for w in _WEIGHTS]  # the diagonals of b and c, made once
 
 
 class _Graded(NamedTuple):
@@ -367,17 +349,20 @@ class _Graded(NamedTuple):
 class _Grading(NamedTuple):
     """The (b, c) weight grading of a module.
 
-    plus and minus are the bc = +1 and bc = -1 parts, cut from the module
-    written in a weight basis (b and c diagonal).  groups lists per weight
-    in ``_WEIGHTS`` order the indices of its vectors in that basis.  pmat is
-    None when b and c are diagonal, and otherwise the matrix of that basis:
-    the joint kernels of :func:`_weight_split`, weight by weight.
+    a[w] and d[w] are the blocks of a and d from weight w to w ^ 1, per
+    weight in ``_WEIGHTS`` order, in a basis where b and c are diagonal;
+    groups lists per weight the indices of its vectors there.  pmat is None
+    when that basis is the module's own, and otherwise its matrix P: X in
+    it is P X P^-1.  plus and minus are the bc = +1 and bc = -1 parts.
     """
 
-    plus: _Graded
-    minus: _Graded
+    a: list[RatMatrix]
+    d: list[RatMatrix]
     groups: list[list[int]]
     pmat: RatMatrix | None
+
+    plus = property(lambda self: _Graded((self.a[0], self.a[1]), (self.d[0], self.d[1])))
+    minus = property(lambda self: _Graded((self.a[2], self.a[3]), (self.d[2], self.d[3])))
 
     def basis(self) -> list[RatMatrix]:
         """Per weight in ``_WEIGHTS`` order, the matrix of its basis vectors."""
@@ -385,42 +370,49 @@ class _Grading(NamedTuple):
         pmat = RatMatrix.identity(n) if self.pmat is None else self.pmat
         return [pmat.take(range(n), group) for group in self.groups]
 
+    def weights(self) -> list[int]:
+        """The weight of each vector of the weight basis, as an index into ``_WEIGHTS``."""
+        return [w for _, w in sorted((i, w) for w, group in enumerate(self.groups) for i in group)]
 
-def _graded_in_weight_basis(a: list[RatMatrix], d: list[RatMatrix], groups: list[list[int]]) -> _Grading:
-    """The grading of a module given in a weight basis, from its a and d blocks per weight and its index groups."""
-    return _Grading(_Graded((a[0], a[1]), (d[0], d[1])), _Graded((a[2], a[3]), (d[2], d[3])), groups, None)
+    def matrices(self) -> tuple[RatMatrix, RatMatrix, RatMatrix, RatMatrix]:
+        """The generators a, b, c, d: the blocks scattered to their groups, b and c read off the weights,
+        and with a pmat P each X mapped back to x = P X P^-1 by one solve, P^T x^T = (P X)^T for all four."""
+        n, weights = sum(map(len, self.groups)), self.weights()
+
+        def scatter(blocks: list[RatMatrix]) -> RatMatrix:
+            return RatMatrix.from_entries(n, n, {
+                (self.groups[w ^ 1][r], self.groups[w][s]): x
+                for w, block in enumerate(blocks)
+                for (r, s), x in block.entries().items()
+            })
+
+        b, c = (RatMatrix.diagonal([_WEIGHT_FRACTIONS[w][k] for w in weights]) for k in (0, 1))
+        gens = [scatter(self.a), b, c, scatter(self.d)]
+        if self.pmat is None:
+            return tuple(gens)
+        p = self.pmat
+        sol = p.transpose().solve_matrix(RatMatrix.block([[(p @ x).transpose() for x in gens]]))
+        return tuple(sol.take(range(n), range(k * n, (k + 1) * n)).transpose() for k in range(4))
 
 
 def _weight_split(rep: Representation) -> _Grading:
     """The (b, c) weight spaces of a module given by its matrices, and the a, d blocks between them.
 
-    Each weight w gets its basis K_w: where b and c are diagonal (the standard
-    models, and their ``tensor``, ``dual`` and ``direct_sum``), the unit
-    vectors where the diagonals read w, with no elimination; otherwise the
-    reduced joint kernel of b - beta over c - gamma.  The block of x = a, d
-    from w to w ^ 1 is the solution X of K_{w^1} X = x K_w.  Raises
-    DecompositionError when the K_w do not fill the module, or when a solve
-    fails, as x then sends part of w outside w ^ 1 (a before d, lowest w
-    first).  ``tests/test_replab.py`` takes the two routes in
-    ``test_standard_models_split_without_a_kernel`` and
-    ``test_regular_representation_decomposes``.
+    Each weight w gets its basis K_w, the reduced joint kernel of b - beta
+    over c - gamma, and pmat lists the K_w side by side (a permutation where
+    b and c are diagonal).  The block of x = a, d from w to w ^ 1 is the X
+    with K_{w^1} X = x K_w.  Raises DecompositionError when the K_w do not
+    fill the module, or when a solve fails, as x then sends part of w
+    outside w ^ 1 (a before d, lowest w first).  No made module comes here.
     """
-    n, b, c = rep.dim, rep.b, rep.c
-    weights = list(zip(b.diagonal_entries(), c.diagonal_entries()))
-    groups = [[i for i, x in enumerate(weights) if x == w] for w in _WEIGHTS]
-    # once each diagonal entry is a weight, b and c are diagonal iff they have n(n - 1) zeros each
-    if sum(map(len, groups)) == n and b.zero_count() + c.zero_count() == 2 * n * (n - 1):
-        pmat, spaces = None, [RatMatrix.identity(n).take(range(n), group) for group in groups]
-    else:
-        spaces = [RatMatrix.block([[b.shift(-beta)], [c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS]
-        dims = [space.cols for space in spaces]
-        if sum(dims) != n:
-            raise DecompositionError(
-                "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
-                f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
-            )
-        pmat = RatMatrix.block([spaces])
-        groups = [list(range(sum(dims[:w]), sum(dims[: w + 1]))) for w in range(len(_WEIGHTS))]
+    n = rep.dim
+    spaces = [RatMatrix.block([[rep.b.shift(-beta)], [rep.c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS]
+    dims = [space.cols for space in spaces]
+    if sum(dims) != n:
+        raise DecompositionError(
+            "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
+            f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
+        )
     blocks = []
     for name, x in (("a", rep.a), ("d", rep.d)):
         blocks.append([spaces[w ^ 1].solve_matrix(x @ space) for w, space in enumerate(spaces)])
@@ -430,7 +422,8 @@ def _weight_split(rep: Representation) -> _Grading:
                 f"{name} does not send each (b, c) weight to its negative: "
                 f"it sends part of weight {_WEIGHTS[w]} outside weight {_WEIGHTS[w ^ 1]}"
             )
-    return _graded_in_weight_basis(*blocks, groups)._replace(pmat=pmat)
+    groups = [list(range(sum(dims[:w]), sum(dims[: w + 1]))) for w in range(len(_WEIGHTS))]
+    return _Grading(*blocks, groups, RatMatrix.block([spaces]))
 
 
 # _WEIGHT_PRODUCT[w][v] is the weight, as an index into _WEIGHTS, of a product of vectors of weights w and v.
@@ -452,12 +445,12 @@ def _tensor_grading(m: Representation, n: Representation) -> _Grading:
     A factor given in another basis is read in its weight basis, so the
     product is in the Kronecker product of the factors' weight bases, and
     that is its pmat.  A factor whose own grading raises makes the product
-    raise the same error.
+    raise the same error.  ``tests/test_replab.py::test_coproduct_is_an_algebra_map``
+    fails if Delta changes.
     """
     gm, gn = m._weights(), n._weights()
     dn = n.dim
-    # the weight of each index of M and of N
-    wm, wn = ([w for _, w in sorted((i, w) for w, group in enumerate(g.groups) for i in group)] for g in (gm, gn))
+    wm, wn = gm.weights(), gn.weights()
     groups: list[list[int]] = [[] for _ in _WEIGHTS]
     for i, w in enumerate(wm):
         for v, group in enumerate(gn.groups):
@@ -471,7 +464,7 @@ def _tensor_grading(m: Representation, n: Representation) -> _Grading:
         # (row, column, entry) of the factor's a or d, in the factor's own indices
         return [
             (g.groups[w ^ 1][r], g.groups[w][s], x)
-            for w, block in enumerate(getattr(g.plus, name) + getattr(g.minus, name))
+            for w, block in enumerate(getattr(g, name))
             for (r, s), x in block.entries().items()
         ]
 
@@ -486,22 +479,60 @@ def _tensor_grading(m: Representation, n: Representation) -> _Grading:
             for i, w in enumerate(wm):
                 entries[_WEIGHT_PRODUCT[w][wn[j2]]][pos[i * dn + j], pos[i * dn + j2]] = x
         blocks.append([RatMatrix.from_entries(len(groups[w ^ 1]), len(groups[w]), e) for w, e in enumerate(entries)])
-    grading = _graded_in_weight_basis(*blocks, groups)
     if gm.pmat is None and gn.pmat is None:
-        return grading
+        return _Grading(*blocks, groups, None)
     pmat_m, pmat_n = (RatMatrix.identity(x.dim) if g.pmat is None else g.pmat for x, g in ((m, gm), (n, gn)))
-    return grading._replace(pmat=pmat_m.kron(pmat_n))
+    return _Grading(*blocks, groups, pmat_m.kron(pmat_n))
+
+
+def _dual_grading(m: Representation) -> _Grading:
+    """The grading of m*, built from m's by the antipode S(a) = ba, S(d) = cd.
+
+    b* = b^T and c* = c^T keep each weight, so the groups are m's, and
+    a* = (ba)^T = a^T b puts beta_w times the transpose of m's a block on
+    w ^ 1 on w; d* = (cd)^T does the same with gamma_w.  m's weight basis P
+    becomes the dual basis P^-T.  m's own grading errors are raised.
+    ``tests/test_replab.py::test_antipode_makes_the_dual_a_module`` fails if S changes.
+    """
+    g = m._weights()
+
+    def transposed(blocks: list[RatMatrix], k: int) -> list[RatMatrix]:
+        # the transpose of the block on w ^ 1, times the weight's b (k = 0) or c (k = 1) eigenvalue
+        return [
+            RatMatrix.from_entries(x.cols, x.rows, {(j, i): y * _WEIGHTS[w][k] for (i, j), y in x.entries().items()})
+            for w, x in enumerate(blocks[v ^ 1] for v in range(len(_WEIGHTS)))
+        ]
+
+    pmat = None if g.pmat is None else g.pmat.transpose().solve_matrix(RatMatrix.identity(m.dim))
+    return _Grading(transposed(g.a, 0), transposed(g.d, 1), g.groups, pmat)
+
+
+def _sum_grading(*reps: Representation) -> _Grading:
+    """The grading of the direct sum of reps, built from theirs: every block and pmat (when any summand has
+    one) is block diagonal, and the groups are offset.  The summands' own grading errors are raised."""
+    gradings = [rep._weights() for rep in reps]
+    offsets = [sum(rep.dim for rep in reps[:k]) for k in range(len(reps))]
+
+    def diagonal(mats: list[RatMatrix]) -> RatMatrix:
+        # the diagonal is picked by position: one cached module may come several times
+        return RatMatrix.block([[x if j == i else None for j in range(len(mats))] for i, x in enumerate(mats)])
+
+    a, d = ([diagonal([getattr(g, name)[w] for g in gradings]) for w in range(len(_WEIGHTS))] for name in "ad")
+    groups = [[o + i for o, g in zip(offsets, gradings) for i in g.groups[w]] for w in range(len(_WEIGHTS))]
+    pmat = None
+    if any(g.pmat is not None for g in gradings):
+        pmat = diagonal([RatMatrix.identity(rep.dim) if g.pmat is None else g.pmat for rep, g in zip(reps, gradings)])
+    return _Grading(a, d, groups, pmat)
 
 
 def _check_graded(grading: _Grading) -> _Grading:
-    """The grading of a module given by its matrices, once its relations hold.
+    """The grading of a standard model or of a module given by its matrices, once its relations hold.
 
     In a weight basis b and c are diagonal involutions, and as a and d flip
     the weights they anticommute with b and c.  So the relations left are
-    a^2 = 0, d^2 = 0 and da + ad = 1 - bc, where 1 - bc is 0 on the bc = +1
-    part and 2 on the bc = -1 part; each is checked on each side p of each
-    part, in this order.  Raises DecompositionError naming the first that
-    fails.
+    a^2 = 0, d^2 = 0 and da + ad = 1 - bc (0 on the bc = +1 part, 2 on the
+    bc = -1 part), checked on each side p of each part in this order; a
+    DecompositionError names the first that fails.
     """
     for part, sign, k in ((grading.plus, "+", 0), (grading.minus, "-", 2)):
         for p in (0, 1):
@@ -519,16 +550,12 @@ def _check_graded(grading: _Grading) -> _Grading:
 # -- radical series ---------------------------------------------------------
 
 
-def _radical(part: _Graded, sub: tuple[RatMatrix, RatMatrix] | None = None) -> list[RatMatrix]:
-    """J U = a(U) + d(U) for a graded subspace U of a bc = +1 part.
+def _radical(part: _Graded) -> list[RatMatrix]:
+    """JM of a bc = +1 part, as a pair of column bases, one per side.
 
-    U and the result are pairs of column bases, one per side; U defaults to
-    the whole part.  Side p of JU is spanned by a(U) and d(U) of side 1 - p.
+    Side p of JM is spanned by the images of a and d on side 1 - p.
     """
-    return [
-        span_basis(RatMatrix.block([[x[1 - p] if sub is None else x[1 - p] @ sub[1 - p] for x in part]]))
-        for p in (0, 1)
-    ]
+    return [span_basis(RatMatrix.block([[x[1 - p] for x in part]])) for p in (0, 1)]
 
 
 def radical_basis(rep: Representation) -> RatMatrix:
@@ -554,20 +581,18 @@ def socle_basis(rep: Representation) -> RatMatrix:
 
 
 def loewy_length(rep: Representation) -> int:
-    """Least k with J^k M = 0, at most 3.
+    """Least k with J^k M = 0, at most 3, read off the J and J^2 blocks.
 
-    The relations are checked when the grading is made, so the series ends:
-    J^3 = 0 in the algebra.
+    J is spanned by a and d cut to the bc = +1 part, where da = -ad, so J^2 M = ad(M+): the length is 3 when
+    some J^2 block a[1 - p] d[p] is nonzero, 2 when some a or d block is, and 1 otherwise.  The relations
+    are checked when the grading is made, so J^3 M = 0.
     """
     if rep.dim == 0:
         return 0
     plus = rep._weights().plus
-    layer = _radical(plus)
-    k = 1
-    while any(side.cols for side in layer):
-        layer = _radical(plus, layer)
-        k += 1
-    return k
+    if any(not (plus.a[1 - p] @ plus.d[p]).is_zero() for p in (0, 1)):
+        return 3
+    return 2 if any(not x.is_zero() for x in plus.a + plus.d) else 1
 
 
 # -- projective covers and syzygies -----------------------------------------

@@ -173,27 +173,63 @@ def test_regular_representation_decomposes():
 # -- monoidal structure ----------------------------------------------------------
 
 
+def _kron_formula(m, n):
+    """The reference for tensor: Delta(a) = a (x) b + 1 (x) a and Delta(d) = d (x) c + 1 (x) d, formed densely."""
+    ident = RatMatrix.identity(m.dim)
+    return m.a.kron(n.b) + ident.kron(n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron(n.c) + ident.kron(n.d)
+
+
 def test_tensor_matches_coproduct_formula():
-    # tensor adds 1 (x) a into the diagonal blocks of a (x) b in place; the
-    # reference forms both Kronecker products and adds them densely
     labels = grid_labels(2, DEFAULT_ETAS)
     for m, n in itertools.product(map(build, labels), repeat=2):
-        ident = RatMatrix.identity(m.dim)
-        assert tensor(m, n) == Representation(
-            m.a.kron(n.b) + ident.kron(n.a),
-            m.b.kron(n.b),
-            m.c.kron(n.c),
-            m.d.kron(n.c) + ident.kron(n.d),
-        )
+        assert tensor(m, n) == Representation(*_kron_formula(m, n))
 
 
 def test_tensor_grading_matches_the_split_of_the_dense_product():
-    # the blocks a tensor product writes from its factors' blocks are the ones
-    # _weight_split cuts from the dense Kronecker product, in the same order
+    # a product's matrices, a view of its grading, are the Kronecker formula,
+    # and the blocks it writes from its factors' blocks are the ones
+    # _weight_split cuts from that formula, in the same order
     for l1, l2 in itertools.combinations_with_replacement(grid_labels(3, ETA_POOL), 2):
         m, n = build(l1), build(l2)
-        dense = Representation(m.a.kron_plus(n.b, n.a), m.b.kron(n.b), m.c.kron(n.c), m.d.kron_plus(n.c, n.d))
-        assert replab._tensor_grading(m, n) == replab._weight_split(dense)
+        product, dense = tensor(m, n), _kron_formula(m, n)
+        assert product.generators() == dense
+        grading, split = product._weights(), replab._weight_split(Representation(*dense))
+        assert (grading.a, grading.d, grading.basis()) == (split.a, split.d, split.basis())
+
+
+def _dense_dual(m):
+    """The reference for dual: the antipode's matrices ((ba)^T, b^T, c^T, (cd)^T)."""
+    return (m.b @ m.a).transpose(), m.b.transpose(), m.c.transpose(), (m.c @ m.d).transpose()
+
+
+def _dense_sum(reps):
+    """The reference for direct_sum: each generator block diagonal, the diagonal picked by position."""
+    return tuple(
+        RatMatrix.block([[r.generators()[k] if j == i else None for j in range(len(reps))] for i, r in enumerate(reps)])
+        for k in range(4)
+    )
+
+
+def test_dual_and_direct_sum_match_their_dense_formulas():
+    import random
+
+    reps = [build(l) for l in grid_labels(3, ETA_POOL)]
+    # a module in a random basis takes the pmat path of the view
+    conj = _conjugate(direct_sum([build(l) for l in (omega(1, 0), projective(1), simple_two(0))]), random.Random(7))
+    for rep in reps + [direct_sum(reps[:8]), conj]:
+        assert dual(rep).generators() == _dense_dual(rep)
+    assert dual(conj)._weights().pmat is not None
+    for pieces in (reps[:8], [conj, build(omega(-1, 0)), conj], []):
+        assert direct_sum(pieces).generators() == _dense_sum(pieces)
+
+
+def test_reading_a_made_module_of_a_non_module_raises():
+    # a keeps weight (1, 1): the grading of each made module raises the split's error
+    bad = Representation(RatMatrix.from_rows([[0, 1], [1, 0]]), RatMatrix.identity(2), RatMatrix.identity(2),
+                         RatMatrix.zeros(2, 2))
+    for made in (tensor(bad, build(omega(1, 0))), dual(bad), direct_sum([bad])):
+        with pytest.raises(DecompositionError, match="a does not send each"):
+            made.a
 
 
 def test_representation_is_immutable():
@@ -206,8 +242,16 @@ def test_representation_is_immutable():
 def test_representation_survives_copy_and_pickle():
     import copy
     import pickle
+    import random
 
-    for rep in (build(band(2, 0, '5/7')), tensor(build(omega(1, 0)), build(simple_two(0)))):
+    conj = _conjugate(build(omega(1, 0)), random.Random(2))
+    for rep in (
+        build(band(2, 0, '5/7')),
+        tensor(build(omega(1, 0)), build(simple_two(0))),
+        dual(build(omega(2, 1))),
+        direct_sum([build(projective(0)), build(simple_two(1)), build(projective(0))]),
+        tensor(conj, build(band(1, 1, ETA_INF))),
+    ):
         for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
             assert clone == rep and decompose(clone) == decompose(rep)
 
@@ -420,6 +464,32 @@ def test_loewy_length_rejects_a_non_module_whose_radical_series_stalls():
     rep = Representation(RatMatrix.from_rows([[0, 1], [1, 0]]), b, b.copy(), RatMatrix.zeros(2, 2))
     with pytest.raises(DecompositionError, match=r"^a\^2 = 0 fails on side 0 of the bc = \+1 part$"):
         loewy_length(rep)
+
+
+def _iterated_loewy_length(rep):
+    """The reference for loewy_length: the radical series J^(k+1) M = J (J^k M), taken until it vanishes."""
+    if rep.dim == 0:
+        return 0
+    plus = rep._weights().plus
+    layer, k = replab._radical(plus), 1
+    while any(side.cols for side in layer):
+        layer = [span_basis(RatMatrix.block([[x[1 - p] @ layer[1 - p] for x in plus]])) for p in (0, 1)]
+        k += 1
+    return k
+
+
+def test_loewy_length_matches_the_iterated_radical_series():
+    import random
+
+    rng = random.Random(19)
+    labels = grid_labels(3, ETA_POOL)
+    reps = [build(l) for l in labels] + [direct_sum([])]
+    pairs = itertools.combinations_with_replacement(grid_labels(2, ETA_POOL), 2)
+    reps += [tensor(build(l1), build(l2)) for l1, l2 in pairs]
+    reps += [_conjugate(build(rng.choice(labels)), rng) for _ in range(30)]
+    lengths = [loewy_length(rep) for rep in reps]
+    assert lengths == [_iterated_loewy_length(rep) for rep in reps]
+    assert set(lengths) == {0, 1, 2, 3}
 
 
 def test_syzygy_parity_facts():
@@ -883,22 +953,35 @@ def test_weight_split_matches_the_dense_scan(rep):
     assert _split_or_error(_split_with_basis, rep) == _split_or_error(_dense_weight_split, rep)
 
 
-def test_standard_models_split_without_a_kernel(monkeypatch):
-    # b and c are diagonal in every standard model, its dual and a direct sum,
-    # so the split reads the weight spaces off them and takes no kernel
-    reps = [build(l) for l in grid_labels(3, DEFAULT_ETAS)]
-    reps += [dual(rep) for rep in reps] + [direct_sum(reps[:6])]
+def test_made_modules_are_graded_without_a_split(monkeypatch):
+    # every standard model, its dual, a direct sum and a product is made from
+    # gradings in its own basis: none is split, and none gets a pmat
+    def split(rep):
+        raise AssertionError("a made module was split")
 
-    def kernel(self):
-        raise AssertionError("the weight split took a kernel")
+    monkeypatch.setattr(replab, "_weight_split", split)
+    replab._build_cached.cache_clear()
+    try:
+        reps = [build(l) for l in grid_labels(3, DEFAULT_ETAS)]
+        reps += [dual(rep) for rep in reps] + [direct_sum(reps[:6])]
+        labels = grid_labels(2, DEFAULT_ETAS)
+        reps += [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
+        assert all(rep._weights().pmat is None for rep in reps)
+    finally:
+        replab._build_cached.cache_clear()
 
-    with monkeypatch.context() as patch:
-        patch.setattr(RatMatrix, "kernel_basis", kernel)
-        gradings = [replab._weight_split(rep) for rep in reps]
-    assert all(g.pmat is None for g in gradings)
-    labels = grid_labels(2, DEFAULT_ETAS)
-    products = [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
-    assert all(rep._weights().pmat is None for rep in reps + products)
+
+def test_src_gives_matrices_to_a_representation_only_in_syzygy():
+    # every other module that src/ makes is made from a grading; a syzygy is
+    # cut out of its cover by a kernel, so it is given by its matrices
+    callers = [
+        (path.name, top.name)
+        for path in sorted(Path(replab.__file__).parent.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Representation"
+    ]
+    assert callers == [("replab.py", "syzygy")]
 
 
 def test_replab_never_touches_the_row_layout_of_linalg():
@@ -982,6 +1065,7 @@ READ_FROM_OUTSIDE_SRC = {
     "loewy_length": "documented API (README)",
     "syzygy": "documented API (README); bench/layers.py wraps it",
     "RatMatrix.apply": "bench/layers.py wraps it",
+    "RatMatrix.copy": "bench/layers.py wraps it",
     "RatMatrix.det": "bench/layers.py wraps it",
     "express_in_basis": "bench/layers.py wraps it",
     "BasisTuple._make": "namedtuple's _replace calls it",
@@ -1138,15 +1222,16 @@ def test_decompose_coerces_no_vector_list(monkeypatch):
 
 
 def test_decompose_of_a_tensor_product_forms_no_dense_product(monkeypatch):
-    # the grading comes from the factors' blocks, so no Kronecker product is formed
+    # the grading comes from the factors' blocks, so neither a Kronecker
+    # product nor the view of a module's matrices is formed
     pairs = list(itertools.product(grid_labels(2, ETA_POOL), repeat=2))
     expected = [expand(mul_labels(l1, l2)) for l1, l2 in pairs]
 
     def dense(*args):
-        raise AssertionError("decompose formed a dense Kronecker product")
+        raise AssertionError("decompose formed a dense matrix")
 
     monkeypatch.setattr(RatMatrix, "kron", dense)
-    monkeypatch.setattr(RatMatrix, "kron_plus", dense)
+    monkeypatch.setattr(replab._Grading, "matrices", dense)
     assert [decompose(tensor(build(l1), build(l2))) for l1, l2 in pairs] == expected
 
 
@@ -1498,7 +1583,7 @@ def perturbed_piles(draw):
     pieces = draw(st.lists(st.sampled_from(PILE_PIECES), min_size=1, max_size=4))
     rep = direct_sum([build(l) for l in pieces])
     a, b, c, d = (m.copy() for m in rep.generators())
-    weights = list(zip(b.diagonal_entries(), c.diagonal_entries()))
+    weights = [(b.data[i][i], c.data[i][i]) for i in range(rep.dim)]
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(0, rep.dim - 1))
         beta, gamma = weights[j]
@@ -1550,12 +1635,12 @@ def test_relations_are_checked_once_where_a_module_enters(monkeypatch):
     labels = grid_labels(2, ETA_POOL)
     for label in labels:
         decompose(build(label))
+    rep = Representation(*direct_sum([build(projective(0)), build(band(2, 1, '5/7'))]).generators())
     monkeypatch.setattr(replab, "_check_graded", spy)
     for l1, l2 in itertools.combinations_with_replacement(labels, 2):
         assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
     assert calls == []
     # a module given by its matrices is checked when its grading is made, and only then
-    rep = direct_sum([build(projective(0)), build(band(2, 1, '5/7'))])
     assert decompose(rep) == decompose(rep) == sorted([projective(0), band(2, 1, '5/7')])
     assert len(calls) == 1
 
