@@ -6,20 +6,21 @@ The algebra is generated by a, b, c, d with
     a^2 = 0    b^2 = 1    c^2 = 1    d^2 = 0    da + ad = 1 - bc
 
 A :class:`Representation` is given by the four generator actions as exact
-rational matrices, or made by :func:`build`, :func:`tensor`, :func:`dual`
-or :func:`direct_sum`: the standard model of each label, the
-comultiplication, the antipode and the sum.  :func:`decompose` splits an
-arbitrary representation into labelled indecomposables -- without ever
-consulting the symbolic multiplication table, so the two can be checked
-against each other.
+rational matrices, or made by :func:`build`, :func:`tensor`, :func:`dual`,
+:func:`direct_sum` or :func:`syzygy`: the standard model of each label, the
+comultiplication, the antipode, the sum and a cover's kernel.
+:func:`decompose` splits an arbitrary representation into labelled
+indecomposables -- without ever consulting the symbolic multiplication
+table, so the two can be checked against each other.
 
 The decomposition works on the (b, c) weight spaces:
 
 1. b and c are commuting involutions, and a and d send weight (β, γ) to
    (-β, -γ).  A module keeps its weight grading: the a and d blocks between
    paired weight spaces.  A made module is its grading, written from a
-   standard model's arrows or from the gradings it is made of; its matrices
-   are a view.  Only a module given by its matrices is split
+   standard model's arrows, from the gradings it is made of, or (a syzygy)
+   from its cover's weight blocks; its matrices are a view.  Only a module
+   given by its matrices, which it keeps, is split
    (:func:`_weight_split`), and :func:`_check_graded` checks a split module
    or a standard model, the one check of relations.  Weights (1,-1) and
    (-1,1) make up the bc = -1 part, a semisimple pile of two-dimensional
@@ -48,7 +49,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .green import (
     ETA_INF,
@@ -66,7 +67,6 @@ from .linalg import (
     annihilator_basis,
     preimage_basis,
     quotient_maps,
-    restrict_to_invariant,
     span_basis,
 )
 
@@ -83,13 +83,14 @@ class Representation:
     """Actions of the four generators on a finite-dimensional module.
 
     A module is immutable once made, and so are the matrices it is given or
-    hands out.  ``Representation(a, b, c, d)`` keeps the four matrices.  A
-    module made by :func:`build`, :func:`tensor`, :func:`dual` or
-    :func:`direct_sum` keeps a recipe instead, a grading function and its
-    arguments, and its a, b, c and d are one view of that grading
-    (:meth:`_Grading.matrices`); so reading them raises the
-    DecompositionError of a part that is not a module.  Either way the
-    module keeps its grading, where its relations are checked, once.
+    hands out.  ``Representation(a, b, c, d)`` keeps the four matrices, the
+    caller's input.  A module made by :func:`build`, :func:`tensor`,
+    :func:`dual`, :func:`direct_sum` or :func:`syzygy` keeps a recipe
+    instead, a grading function and its arguments, and its a, b, c and d are
+    one view of that grading (:meth:`_Grading.matrices`), in its weight basis
+    (for a syzygy, the kernels of its cover's weight blocks); so reading them
+    raises the DecompositionError of a part that is not a module.  Either way
+    the module keeps its grading, where its relations are checked, once.
     """
 
     __slots__ = ("dim", "_gens", "_recipe", "_grading")
@@ -232,9 +233,7 @@ def _build_cached(label: Label) -> Representation:
 def check_relations(rep: Representation) -> bool:
     """All ten defining relations, exactly."""
     a, b, c, d = rep.generators()
-    n = rep.dim
-    ident = RatMatrix.identity(n)
-    zero = RatMatrix.zeros(n, n)
+    ident, zero = RatMatrix.identity(rep.dim), RatMatrix.zeros(rep.dim, rep.dim)
     return (
         b @ a == -(a @ b)
         and d @ b == -(b @ d)
@@ -272,8 +271,9 @@ def dual(m: Representation) -> Representation:
     return _made(m.dim, _dual_grading, m)
 
 
-def direct_sum(reps: list[Representation]) -> Representation:
+def direct_sum(reps: Iterable[Representation]) -> Representation:
     """Direct sum, in the order given; its grading comes from the summands' (see :func:`_sum_grading`)."""
+    reps = tuple(reps)  # read once: a generator would be spent on the dimension
     return _made(sum(rep.dim for rep in reps), _sum_grading, *reps)
 
 
@@ -398,12 +398,9 @@ class _Grading(NamedTuple):
 def _weight_split(rep: Representation) -> _Grading:
     """The (b, c) weight spaces of a module given by its matrices, and the a, d blocks between them.
 
-    Each weight w gets its basis K_w, the reduced joint kernel of b - beta
-    over c - gamma, and pmat lists the K_w side by side (a permutation where
-    b and c are diagonal).  The block of x = a, d from w to w ^ 1 is the X
-    with K_{w^1} X = x K_w.  Raises DecompositionError when the K_w do not
-    fill the module, or when a solve fails, as x then sends part of w
-    outside w ^ 1 (a before d, lowest w first).  No made module comes here.
+    Each weight w gets its basis K_w, the reduced joint kernel of b - beta over c - gamma, and pmat lists
+    the K_w side by side (a permutation where b and c are diagonal).  Raises DecompositionError when the
+    K_w do not fill the module, and :func:`_graded_on` finds the blocks.  No made module comes here.
     """
     n = rep.dim
     spaces = [RatMatrix.block([[rep.b.shift(-beta)], [rep.c.shift(-gamma)]]).kernel_basis() for beta, gamma in _WEIGHTS]
@@ -413,17 +410,25 @@ def _weight_split(rep: Representation) -> _Grading:
             "b and c are not commuting involutions; defining relations fail: (b, c) weight-space "
             f"dimensions {dict(zip(_WEIGHTS, dims))} sum to {sum(dims)}, not n = {n}"
         )
+    return _graded_on(spaces, [rep.a] * len(_WEIGHTS), [rep.d] * len(_WEIGHTS), RatMatrix.block([spaces]))
+
+
+def _graded_on(spaces: list[RatMatrix], a: list[RatMatrix], d: list[RatMatrix], pmat) -> _Grading:
+    """The grading on the weight spaces K_w, the columns of spaces, where x[w] for x = a, d acts on K_w's
+    space: the block from w to w ^ 1 is the X with K_{w^1} X = x[w] K_w.  Raises DecompositionError when
+    a solve fails, as x then sends part of w outside w ^ 1 (a before d, lowest w first)."""
     blocks = []
-    for name, x in (("a", rep.a), ("d", rep.d)):
-        blocks.append([spaces[w ^ 1].solve_matrix(x @ space) for w, space in enumerate(spaces)])
+    for name, x in (("a", a), ("d", d)):
+        blocks.append([spaces[w ^ 1].solve_matrix(x[w] @ space) for w, space in enumerate(spaces)])
         if None in blocks[-1]:
             w = blocks[-1].index(None)
             raise DecompositionError(
                 f"{name} does not send each (b, c) weight to its negative: "
                 f"it sends part of weight {_WEIGHTS[w]} outside weight {_WEIGHTS[w ^ 1]}"
             )
+    dims = [space.cols for space in spaces]
     groups = [list(range(sum(dims[:w]), sum(dims[: w + 1]))) for w in range(len(_WEIGHTS))]
-    return _Grading(*blocks, groups, RatMatrix.block([spaces]))
+    return _Grading(*blocks, groups, pmat)
 
 
 # _WEIGHT_PRODUCT[w][v] is the weight, as an index into _WEIGHTS, of a product of vectors of weights w and v.
@@ -598,57 +603,53 @@ def loewy_length(rep: Representation) -> int:
 # -- projective covers and syzygies -----------------------------------------
 
 
-def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix]:
-    """Projective cover and the covering surjection.
+def _cover(rep: Representation) -> tuple[Representation, list[RatMatrix]]:
+    """Projective cover, and per weight w the block phi_w of the covering map from the cover's weight w
+    to rep's weight basis there, checked block by block to be a surjective module map.
 
-    The top splits by weight.  On side p of the bc = +1 part, each vector u
-    of a complement of the radical gives a P(p) summand on the columns
-    (u, au, du, adu).  On side r of the bc = -1 part, each vector w killed
-    by d gives a V(2,r) summand on the columns (w, aw).
+    On side p of the bc = +1 part, each vector u of a complement of the radical gives a P(p) summand:
+    (u, adu) in weight p, (au, du) in 1 - p.  On side r of the bc = -1 part, each vector w killed by d
+    gives a V(2, r) summand: w in weight 2 + r, aw in 3 - r.
     """
-    n = rep.dim
-    grading = rep._weights()
-    plus, minus, basis = grading.plus, grading.minus, grading.basis()
-    jm = _radical(plus)
-
-    pieces: list[Representation] = []
-    columns: list[list[Fraction]] = []
-
-    for p in (0, 1):
-        _, top = quotient_maps(jm[p])
-        au, du = (x[p].take(range(plus.dims[1 - p]), top) for x in plus)
-        images = (
-            basis[p].take(range(n), top),
-            basis[1 - p] @ au,
-            basis[1 - p] @ du,
-            basis[p] @ (plus.a[1 - p] @ du),
-        )
-        for j in range(len(top)):
-            pieces.append(build(projective(p)))
-            columns.extend(m.column(j) for m in images)
-
+    g = rep._weights()
+    plus, pieces, columns = g.plus, [], [[] for _ in _WEIGHTS]
+    for p, side in enumerate(_radical(plus)):
+        top = quotient_maps(side)[1]
+        u = RatMatrix.from_entries(plus.dims[p], len(top), {(t, j): 1 for j, t in enumerate(top)})
+        au, du = (x[p] @ u for x in plus)
+        pieces += [build(projective(p))] * len(top)
+        for v, pair in ((p, (u, plus.a[1 - p] @ du)), (1 - p, (au, du))):
+            columns[v] += (m.column(j) for j in range(len(top)) for m in pair)
     for r in (0, 1):
-        w = minus.d[r].kernel_basis()
-        images = (basis[2 + r] @ w, basis[3 - r] @ (minus.a[r] @ w))
-        for j in range(w.cols):
-            pieces.append(build(simple_two(r)))
-            columns.extend(m.column(j) for m in images)
-
+        w = g.d[2 + r].kernel_basis()
+        pieces += [build(simple_two(r))] * w.cols
+        columns[2 + r] += w.columns()
+        columns[3 - r] += (g.a[2 + r] @ w).columns()
     cover = direct_sum(pieces)
-    phi = RatMatrix.from_columns(columns, rows=n)
-    for xc, xm in zip(cover.generators(), rep.generators()):
-        if phi @ xc != xm @ phi:
-            raise DecompositionError("projective cover map is not a module map")
-    if phi.rank() != n:
+    phi = [RatMatrix.from_columns(cols, rows=len(group)) for cols, group in zip(columns, g.groups)]
+    cg = cover._weights()
+    if any(phi[w ^ 1] @ xc[w] != xm[w] @ phi[w] for xc, xm in ((cg.a, g.a), (cg.d, g.d)) for w in range(len(_WEIGHTS))):
+        raise DecompositionError("projective cover map is not a module map")
+    if sum(f.rank() for f in phi) != rep.dim:
         raise DecompositionError("projective cover map is not surjective")
     return cover, phi
 
 
+def projective_cover_map(rep: Representation) -> tuple[Representation, RatMatrix]:
+    """Projective cover and the covering surjection, in rep's own basis: the cover's columns are
+    (u, au, du, adu) for a P(p) summand and (w, aw) for a V(2, r) summand (see :func:`_cover`)."""
+    cover, phi = _cover(rep)
+    images = RatMatrix.block([[m @ f for m, f in zip(rep._weights().basis(), phi)]])
+    order = [k for group in cover._weights().groups for k in group]
+    return cover, images.take(range(rep.dim), sorted(range(cover.dim), key=order.__getitem__))
+
+
 def syzygy(rep: Representation) -> Representation:
-    """Kernel of the projective cover, as a representation."""
-    cover, phi = projective_cover_map(rep)
-    kernel = phi.kernel_basis()
-    return Representation(*(restrict_to_invariant(x, kernel) for x in cover.generators()))
+    """Kernel of the projective cover, made from its grading: the kernel K_w of each phi_w, with the
+    cover's blocks restricted to them.  So its matrices are in the K_w bases, not in the cover's."""
+    cover, phi = _cover(rep)
+    kernel = _graded_on([f.kernel_basis() for f in phi], cover._weights().a, cover._weights().d, None)
+    return _made(sum(map(len, kernel.groups)), _Grading, *kernel)
 
 
 # -- Kronecker pencil machinery ---------------------------------------------

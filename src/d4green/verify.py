@@ -73,6 +73,7 @@ def grid_labels(max_s: int, etas) -> list[Label]:
     """All labels with parameter at most max_s over the given eta set."""
     if max_s < 1:
         raise ValueError("max_s must be at least 1")
+    etas = tuple(etas)  # read once: Counter would spend a one-shot iterable
     repeated = [e for e, n in Counter(etas).items() if n > 1]
     if repeated:
         raise ValueError(f"eta {repeated[0]} is given more than once")
@@ -107,19 +108,15 @@ def _check_table_pair(pair: tuple[Label, Label]) -> tuple[str, str | None]:
     except Exception as exc:  # surfaced verbatim in the report
         return case, f"{case}: {l1} x {l2}: {type(exc).__name__}: {exc}"
     if actual != expected:
-        got = render_element(_multiset_to_element(actual))
-        want = render_element(_multiset_to_element(expected))
+        got = render_element(GreenElement(Counter(actual).items()))
+        want = render_element(GreenElement(Counter(expected).items()))
         return case, f"{case}: {l1} x {l2}: oracle {got} != table {want}"
     return case, None
 
 
-def _multiset_to_element(labels: list[Label]) -> GreenElement:
-    counts = Counter(labels)
-    return GreenElement(counts.items())
-
-
 def _run_pairs(scope: str, check, max_s: int, etas, seed: int, jobs: int) -> tuple[Report, list]:
     """Run ``check`` on every unordered grid pair, in a pool when jobs > 1."""
+    etas = tuple(etas)
     labels = grid_labels(max_s, etas)
     pairs = list(itertools.combinations_with_replacement(labels, 2))
     header = (
@@ -228,6 +225,7 @@ def _relation_images(mul_n: int, etas) -> list[tuple[str, str, GreenElement]]:
 def run_presentation(max_s: int = 2, etas=DEFAULT_ETAS, seed: int = 0, jobs: int = 1) -> Report:
     """Recurrence, round trips, multiplicativity, relations, confluence."""
     del jobs  # single-threaded; the checks are cheap
+    etas = tuple(etas)
     round_n = max(12, max_s)
     mul_n = max(2, min(max_s, 6))
     header = f"round_n={round_n} mul_n={mul_n} etas={','.join(str(e) for e in etas) or '-'} seed={seed}"
@@ -311,6 +309,7 @@ def run_scope(scope: str, max_s: int, etas, seed: int, jobs: int) -> list[Report
     """The reports of one scope, or of all three in turn; max_s is checked before any runs."""
     if max_s < 1:
         raise ValueError("max_s must be at least 1")
+    etas = tuple(etas)
     runners = {
         "table": run_table,
         "presentation": run_presentation,

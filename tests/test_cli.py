@@ -263,6 +263,17 @@ def test_verify_all_empty_etas_runs_every_scope_without_bands(capsys):
     ]
 
 
+def test_verify_reads_a_one_shot_eta_iterable_once():
+    # a generator of etas gives the bands, the header and the checks of the same etas as a tuple
+    etas = (green.eta(0), green.ETA_INF)
+    assert verify.grid_labels(1, iter(etas)) == verify.grid_labels(1, etas)
+    for runner in (verify.run_table, verify.run_presentation, verify.run_braiding):
+        assert runner(1, etas=iter(etas)).render() == runner(1, etas=etas).render()
+    assert run_table(1, etas=iter(etas[:1])).header == "max_s=1 etas=0 seed=0 jobs=1 pairs=78"
+    once, given = (verify.run_scope("all", 1, e, 0, 1) for e in (iter(etas), etas))
+    assert [r.render() for r in once] == [r.render() for r in given]
+
+
 def test_fault_injection_names_case(capsys, monkeypatch):
     real = green.mul_labels
 

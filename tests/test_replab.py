@@ -251,6 +251,7 @@ def test_representation_survives_copy_and_pickle():
         dual(build(omega(2, 1))),
         direct_sum([build(projective(0)), build(simple_two(1)), build(projective(0))]),
         tensor(conj, build(band(1, 1, ETA_INF))),
+        syzygy(conj),
     ):
         for clone in (copy.copy(rep), copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
             assert clone == rep and decompose(clone) == decompose(rep)
@@ -292,6 +293,14 @@ def test_direct_sum():
     assert two.b == RatMatrix.diagonal([1, -1])
     doubled = direct_sum([build(projective(0)), build(projective(0))])
     assert decompose(doubled) == [projective(0), projective(0)]
+
+
+def test_direct_sum_reads_a_generator_once():
+    labels = [projective(0), simple_one(1)]
+    made = direct_sum(build(l) for l in labels)
+    assert made == direct_sum([build(l) for l in labels])
+    assert made.a.rows == made.dim == 5
+    assert decompose(made) == sorted(labels)
 
 
 # -- hom spaces -------------------------------------------------------------------
@@ -560,8 +569,8 @@ def _non_projective(labels):
 
 
 def test_syzygy_of_each_string_is_the_next_string():
-    # syzygy reaches O^(s+1) V(r) through covers, kernels and restrictions in
-    # linalg; build writes the same module down as a zigzag
+    # syzygy reaches O^(s+1) V(r) as the kernel of its cover's blocks, weight
+    # by weight; build writes the same module down as a zigzag
     for s in range(-3, 4):
         for r in (0, 1):
             assert is_isomorphic(syzygy(build(omega(s, r))), build(omega(s + 1, r)))
@@ -573,6 +582,88 @@ def test_syzygy_and_cosyzygy_shift_every_label():
     for label in labels:
         assert decompose(syzygy(build(label))) == [_omega_label(label, 1)]
         assert decompose(dual(syzygy(dual(build(label))))) == [_omega_label(label, -1)]
+
+
+def _dense_projective_cover_map(rep):
+    """The cover map from the dense columns (u, au, du, adu) and (w, aw) in rep's own basis: the reference."""
+    n = rep.dim
+    grading = rep._weights()
+    plus, minus, basis = grading.plus, grading.minus, grading.basis()
+    pieces, columns = [], []
+    for p, side in enumerate(replab._radical(plus)):
+        _, top = linalg.quotient_maps(side)
+        au, du = (x[p].take(range(plus.dims[1 - p]), top) for x in plus)
+        images = (
+            basis[p].take(range(n), top),
+            basis[1 - p] @ au,
+            basis[1 - p] @ du,
+            basis[p] @ (plus.a[1 - p] @ du),
+        )
+        for j in range(len(top)):
+            pieces.append(build(projective(p)))
+            columns.extend(m.column(j) for m in images)
+    for r in (0, 1):
+        w = minus.d[r].kernel_basis()
+        images = (basis[2 + r] @ w, basis[3 - r] @ (minus.a[r] @ w))
+        for j in range(w.cols):
+            pieces.append(build(simple_two(r)))
+            columns.extend(m.column(j) for m in images)
+    cover = direct_sum(pieces)
+    phi = RatMatrix.from_columns(columns, rows=n)
+    assert all(phi @ xc == xm @ phi for xc, xm in zip(cover.generators(), rep.generators()))
+    assert phi.rank() == n
+    return cover, phi
+
+
+def _dense_syzygy(rep):
+    """The kernel of the dense cover map, with the cover's dense generators restricted to it: the reference."""
+    cover, phi = _dense_projective_cover_map(rep)
+    kernel = phi.kernel_basis()
+    return Representation(*(linalg.restrict_to_invariant(x, kernel) for x in cover.generators()))
+
+
+def test_cover_and_syzygy_match_the_dense_reference():
+    import random
+
+    rng = random.Random(17)
+    reps = [build(l) for l in grid_labels(2, DEFAULT_ETAS)]
+    pieces = [omega(2, 1), simple_two(0), band(1, 0, '5/7'), projective(1), simple_one(0)]
+    reps += [_conjugate(build(l), rng) for l in pieces] + [_conjugate(direct_sum([build(l) for l in pieces]), rng)]
+    reps += [tensor(_conjugate(build(omega(1, 0)), rng), build(omega(-1, 1)))]
+    for rep in reps:
+        cover, phi = projective_cover_map(rep)
+        assert (cover, phi) == _dense_projective_cover_map(rep)
+        assert is_isomorphic(syzygy(rep), _dense_syzygy(rep))
+
+
+def test_cover_raises_on_a_cover_that_is_not_a_module_map(monkeypatch):
+    # a cover whose a blocks are doubled keeps its weights, but phi no longer intertwines a
+    import random
+
+    real = replab.direct_sum
+
+    def doubled(reps):
+        g = real(reps)._weights()
+        return replab._made(sum(map(len, g.groups)), replab._Grading, [x.scale(2) for x in g.a], g.d, g.groups, None)
+
+    monkeypatch.setattr(replab, "direct_sum", doubled)
+    for rep in (build(omega(1, 0)), _conjugate(build(band(1, 1, '5/7')), random.Random(3))):
+        for made in (projective_cover_map, syzygy):
+            with pytest.raises(DecompositionError, match="^projective cover map is not a module map$"):
+                made(rep)
+
+
+def test_cover_raises_on_a_cover_that_misses_part_of_the_top(monkeypatch):
+    # dropping one top vector leaves a module map from the smaller cover, onto less than the module
+    def short(sub):
+        proj, free = linalg.quotient_maps(sub)
+        return proj, free[:-1]
+
+    monkeypatch.setattr(replab, "quotient_maps", short)
+    for rep in (build(omega(1, 0)), direct_sum([build(simple_one(0)), build(simple_two(1))])):
+        for made in (projective_cover_map, syzygy):
+            with pytest.raises(DecompositionError, match="^projective cover map is not surjective$"):
+                made(rep)
 
 
 def test_table_tensors_with_omega_one_shift_every_label():
@@ -954,8 +1045,9 @@ def test_weight_split_matches_the_dense_scan(rep):
 
 
 def test_made_modules_are_graded_without_a_split(monkeypatch):
-    # every standard model, its dual, a direct sum and a product is made from
-    # gradings in its own basis: none is split, and none gets a pmat
+    # every standard model, its dual, a direct sum, a product and a syzygy (and
+    # a cosyzygy) is made from gradings in its own basis: none is split, and
+    # none gets a pmat
     def split(rep):
         raise AssertionError("a made module was split")
 
@@ -966,14 +1058,16 @@ def test_made_modules_are_graded_without_a_split(monkeypatch):
         reps += [dual(rep) for rep in reps] + [direct_sum(reps[:6])]
         labels = grid_labels(2, DEFAULT_ETAS)
         reps += [tensor(build(l1), build(l2)) for l1, l2 in itertools.product(labels, repeat=2)]
+        for label in _non_projective(grid_labels(3, DEFAULT_ETAS)):
+            reps += [syzygy(build(label)), dual(syzygy(dual(build(label))))]
         assert all(rep._weights().pmat is None for rep in reps)
     finally:
         replab._build_cached.cache_clear()
 
 
-def test_src_gives_matrices_to_a_representation_only_in_syzygy():
-    # every other module that src/ makes is made from a grading; a syzygy is
-    # cut out of its cover by a kernel, so it is given by its matrices
+def test_src_never_gives_matrices_to_a_representation():
+    # every module that src/ makes, a syzygy included, is made from a grading;
+    # only a caller gives a Representation its matrices
     callers = [
         (path.name, top.name)
         for path in sorted(Path(replab.__file__).parent.glob("*.py"))
@@ -981,7 +1075,7 @@ def test_src_gives_matrices_to_a_representation_only_in_syzygy():
         for node in ast.walk(top)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Representation"
     ]
-    assert callers == [("replab.py", "syzygy")]
+    assert callers == []
 
 
 def test_replab_never_touches_the_row_layout_of_linalg():
@@ -1064,6 +1158,8 @@ READ_FROM_OUTSIDE_SRC = {
     "socle_basis": "documented API (README)",
     "loewy_length": "documented API (README)",
     "syzygy": "documented API (README); bench/layers.py wraps it",
+    "projective_cover_map": "documented API (README): the cover map in the module's own basis",
+    "restrict_to_invariant": "bench/layers.py wraps it",
     "RatMatrix.apply": "bench/layers.py wraps it",
     "RatMatrix.copy": "bench/layers.py wraps it",
     "RatMatrix.det": "bench/layers.py wraps it",
@@ -1274,6 +1370,7 @@ def test_module_structure_is_basis_independent():
         std_cover, std_phi = projective_cover_map(rep)
         assert decompose(cover) == decompose(std_cover)
         assert phi.rank() == std_phi.rank() == rep.dim
+        assert decompose(syzygy(conj)) == decompose(syzygy(rep))
 
 
 def test_decompose_with_adversarial_band_parameters():
