@@ -39,7 +39,6 @@ from .grammar import (
 )
 from .green import dual, mul
 from .presentation import from_green, to_green
-from .verify import DEFAULT_ETAS, run_scope
 
 
 def _parse_etas(csv: str):
@@ -91,6 +90,8 @@ def _cmd_presentation(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import DEFAULT_ETAS, run_scope  # here, so that the other commands never load the matrix oracle
+
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise ValueError(f"--jobs must be between 1 and {cpus}, got {args.jobs}")

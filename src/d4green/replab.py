@@ -30,7 +30,8 @@ The decomposition works on the (b, c) weight spaces:
    rank of the J^2 block x -> adx counts them.  Each takes two dimensions
    of each side, so when the ranks k0 and k1 leave both sides with
    2(k0 + k1) dimensions the part is all projective and the labelling
-   stops there.
+   stops there.  Otherwise the vectors of their span with one nonzero are
+   peeled off with their coordinates, and only the rest is eliminated.
 3. Only the rest, of radical square zero, goes to the pencil.  For each b
    eigenvalue, the a and d blocks from the top on that side to the socle on
    the other side form a matrix pencil.  Kronecker's classification of
@@ -893,17 +894,14 @@ def _kronecker_blocks(alpha: RatMatrix, delta: RatMatrix):
     """
     if not (alpha.rows or alpha.cols):
         return {}, {}, []
-    shifts = [Fraction(0)]
-    for k in range(1, alpha.rows + 3):
-        shifts.extend((Fraction(k), Fraction(-k)))
-    for c in shifts:
+    tries = 2 * alpha.rows + 5
+    for k in range(tries):  # the shifts 0, 1, -1, 2, -2, ..., each made when it is tried
         try:
-            return _kronecker_with_shift(alpha, delta, c)
+            return _kronecker_with_shift(alpha, delta, Fraction((k + 1) // 2 if k % 2 else -(k // 2)))
         except _BadShift:
             pass
     raise DecompositionError(
-        f"no pencil shift separates the band part of the {alpha.rows} x {alpha.cols} "
-        f"pencil: {len(shifts)} shifts tried"
+        f"no pencil shift separates the band part of the {alpha.rows} x {alpha.cols} pencil: {tries} shifts tried"
     )
 
 
@@ -1006,7 +1004,9 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     direct sum of those projectives, with two dimensions on each side per
     summand.  The quotient by it has radical square zero, as the relations
     hold (:func:`_check_graded`), and only it goes to the Kronecker pencil.
-    Without projectives the quotient is the part itself.
+    Without projectives the quotient is the part itself.  The span is sparse,
+    so :func:`_peeled_quotient_maps` peels off its vectors with one nonzero,
+    each u among them, with their coordinates, and eliminates only the rest.
 
     Each P(p) takes two dimensions of each side: u and adu on side p, au and
     du on side 1 - p.  So with k_p the rank on side p, the projectives fill
@@ -1023,12 +1023,41 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     if any(tops):
         span = []
         for p, n in enumerate(part.dims):
-            units = RatMatrix.from_entries(n, len(tops[p]), {(t, j): 1 for j, t in enumerate(tops[p])})
-            own = [units, sq[p].take(range(n), tops[p])]
-            span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
-        proj, free = zip(*map(quotient_maps, span))
+            vectors = [{t: 1} for t in tops[p]]  # the units u, then the adu, au and du as {coordinate: entry}
+            for m in [sq[p].take(range(n), tops[p])] + [x[1 - p].take(range(n), tops[1 - p]) for x in part]:
+                vectors += [{} for _ in range(m.cols)]
+                for (i, j), x in m.entries().items():
+                    vectors[j - m.cols][i] = x
+            span.append(_peeled_quotient_maps(n, vectors))
+        proj, free = zip(*span)
         core = _Graded(*(tuple(proj[1 - p] @ x[p].take(range(x[p].rows), free[p]) for p in (0, 1)) for x in part))
     return _ll2_labels(core) + projectives
+
+
+def _peeled_quotient_maps(n: int, vectors: list[dict]) -> tuple[RatMatrix, list[int]]:
+    """Exactly ``quotient_maps`` of the span of vectors in Q^n, given as {coordinate: entry} dicts that it empties,
+    by singleton elimination (I. S. Duff, A. M. Erisman, J. K. Reid, *Direct Methods for Sparse Matrices*, 1986):
+    a vector with one nonzero, at i, is a unit row of the span's reduced echelon form, so i is a pivot, and
+    eliminating it deletes i from the others, maybe leaving another with one nonzero.  Only the rest is reduced."""
+    holders: dict[int, list[int]] = {}  # coordinate -> the vectors with a nonzero there
+    for j, v in enumerate(vectors):
+        for i in v:
+            holders.setdefault(i, []).append(j)
+    todo, peeled = [j for j, v in enumerate(vectors) if len(v) == 1], set()
+    while todo:
+        if vectors[j := todo.pop()]:  # a column emptied by an earlier peel has nothing left
+            (i,) = vectors[j]
+            peeled.add(i)
+            for k in holders[i]:
+                del vectors[k][i]
+                if len(vectors[k]) == 1:
+                    todo.append(k)
+    kept = [i for i in range(n) if i not in peeled]
+    pos, rest = {i: t for t, i in enumerate(kept)}, [v for v in vectors if v]
+    proj, free = quotient_maps(RatMatrix.from_entries(len(kept), len(rest), {
+        (pos[i], j): x for j, v in enumerate(rest) for i, x in v.items()}))
+    padded = RatMatrix.from_entries(proj.rows, n, {(r, kept[t]): x for (r, t), x in proj.entries().items()})
+    return padded, [kept[f] for f in free]
 
 
 def decompose(rep: Representation) -> list[Label]:

@@ -178,6 +178,15 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
     assert done.stdout == "False\n"
 
 
+def test_importing_the_cli_leaves_the_matrix_oracle_unloaded():
+    # only verify uses the oracle, so multiply, dual and presentation never compile it
+    probe = "import sys, d4green.cli; print(sorted({'d4green.verify', 'd4green.replab', 'd4green.linalg'} & set(sys.modules)))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=_child_env(), timeout=120, check=True
+    )
+    assert done.stdout == "[]\n"
+
+
 def test_importing_the_package_leaves_dataclasses_and_inspect_unloaded():
     # labels, reports and the braiding element are tuples or slotted classes
     probe = "import sys, d4green.cli, d4green.verify, d4green.replab; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"

@@ -1227,6 +1227,90 @@ def test_projectives_split_off_before_the_pencil(monkeypatch):
     assert seen == [(1, 0)]
 
 
+def _full_span_core(part):
+    """The quotient of a bc = +1 part by its projectives as it was first taken: one elimination of the
+    whole span per side, with no vector peeled off first; the part itself when it has no projectives."""
+    sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
+    tops = [() if m.is_zero() else m.rref()[1] for m in sq]
+    if not any(tops):
+        return part
+    span = []
+    for p, n in enumerate(part.dims):
+        units = RatMatrix.from_entries(n, len(tops[p]), {(t, j): 1 for j, t in enumerate(tops[p])})
+        own = [units, sq[p].take(range(n), tops[p])]
+        span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
+    proj, free = zip(*map(linalg.quotient_maps, span))
+    return replab._Graded(*(tuple(proj[1 - p] @ x[p].take(range(x[p].rows), free[p]) for p in (0, 1)) for x in part))
+
+
+def _assert_core_is_the_full_span_quotient(rep, monkeypatch):
+    """The core that reaches the pencil has the same a and d blocks, shapes included, as _full_span_core."""
+    part = rep._weights().plus
+    cores = []
+    monkeypatch.setattr(replab, "_ll2_labels", lambda core: cores.append(core) or [])
+    replab._one_dim_type_labels(part)
+    reference = _full_span_core(part)
+    for core in cores:  # none when the projectives fill the part
+        for mine, theirs in zip(core.a + core.d, reference.a + reference.d):
+            assert (mine.rows, mine.cols) == (theirs.rows, theirs.cols) and mine == theirs
+
+
+def test_peeled_core_matches_the_full_span_quotient(monkeypatch):
+    import random
+
+    labels = grid_labels(3, ETA_POOL)
+    for l1, l2 in itertools.combinations_with_replacement(labels, 2):
+        _assert_core_is_the_full_span_quotient(tensor(build(l1), build(l2)), monkeypatch)
+    rng = random.Random(5)
+    pieces = [projective(0), projective(1), omega(2, 1), omega(-1, 0), band(2, 0, '1/2'), simple_one(1)]
+    for chosen in (pieces, pieces[:3], [projective(0), omega(3, 0), omega(-3, 0)]):
+        _assert_core_is_the_full_span_quotient(_conjugate(direct_sum([build(l) for l in chosen]), rng), monkeypatch)
+    big = tensor(_conjugate(build(omega(1, 0)), rng), build(omega(-2, 1)))
+    _assert_core_is_the_full_span_quotient(big, monkeypatch)
+
+
+def _peeled(sub):
+    """_peeled_quotient_maps on the columns of sub, read as {coordinate: entry} dicts."""
+    cols = [{} for _ in range(sub.cols)]
+    for (i, j), x in sub.entries().items():
+        cols[j][i] = x
+    return replab._peeled_quotient_maps(sub.rows, cols)
+
+
+def test_peeling_hands_only_the_cycle_to_the_elimination(monkeypatch):
+    # e0 + e1, e1 + e2, e0 + e2 have no coordinate of their own, so peeling e3 stops there: the three go
+    # to the elimination on coordinates 0, 1, 2 and 4, and e3 + e5 loses e3, so coordinate 5 is peeled too
+    cols = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}, {3: 1}, {3: 2, 5: -1}]
+    sub = RatMatrix.from_entries(6, len(cols), {(i, j): x for j, col in enumerate(cols) for i, x in col.items()})
+    seen = []
+    monkeypatch.setattr(replab, "quotient_maps", lambda m: seen.append(m) or linalg.quotient_maps(m))
+    proj, free = _peeled(sub)
+    assert (proj, free) == linalg.quotient_maps(sub)
+    assert seen == [RatMatrix.from_rows([[1, 0, 1], [1, 1, 0], [0, 1, 1], [0, 0, 0]])]
+    assert free == [4] and proj == RatMatrix.from_entries(1, 6, {(0, 4): 1})
+    # a chain without a cycle: the peeled coordinates 3 and 5 are 0 in proj, the kept ones are not
+    cols = [{0: 1, 1: 1}, {1: 1, 2: 1}, {3: 1}, {3: 2, 5: -1}]
+    sub = RatMatrix.from_entries(6, len(cols), {(i, j): x for j, col in enumerate(cols) for i, x in col.items()})
+    proj, free = _peeled(sub)
+    assert (proj, free) == linalg.quotient_maps(sub)
+    assert free == [2, 4] and proj == RatMatrix.from_entries(2, 6, {(0, 0): 1, (0, 1): -1, (0, 2): 1, (1, 4): 1})
+
+
+@st.composite
+def sparse_spans(draw):
+    """Column sets with few nonzeros each, so that peeling meets singletons, chains and cycles."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    entry = st.tuples(st.integers(0, max(rows - 1, 0)), st.integers(0, max(cols - 1, 0)), st.sampled_from([1, -1, 2]))
+    entries = draw(st.lists(entry, max_size=2 * cols)) if rows and cols else []
+    return RatMatrix.from_entries(rows, cols, {(i, j): x for i, j, x in entries})
+
+
+@given(sparse_spans())
+@settings(max_examples=300, deadline=None)
+def test_peeled_quotient_maps_is_quotient_maps(sub):
+    assert _peeled(sub) == linalg.quotient_maps(sub)
+
+
 def test_a_product_of_projectives_never_reaches_the_pencil(monkeypatch):
     calls = []
     ll2 = replab._ll2_labels
@@ -1488,6 +1572,25 @@ def test_decompose_names_the_pencil_no_shift_separates(monkeypatch):
         decompose(build(band(2, 1, '5/7')))
 
 
+def test_pencil_shifts_are_tried_in_order_and_only_until_one_separates(monkeypatch):
+    tried, good = [], [2]
+
+    def bad_until_good(alpha, delta, c):
+        tried.append(c)
+        if c not in good:
+            raise replab._BadShift
+        return {}, {}, []
+
+    monkeypatch.setattr(replab, "_kronecker_with_shift", bad_until_good)
+    alpha = RatMatrix.identity(2)
+    assert replab._kronecker_blocks(alpha, alpha) == ({}, {}, [])
+    assert tried == [0, 1, -1, 2] and all(type(c) is Fraction for c in tried)
+    tried.clear(), good.clear()
+    with pytest.raises(DecompositionError, match="2 x 2 pencil: 9 shifts tried"):
+        replab._kronecker_blocks(alpha, alpha)
+    assert tried == [0, 1, -1, 2, -2, 3, -3, 4, -4]
+
+
 def test_a_retried_pencil_shift_keeps_the_shared_zero(monkeypatch):
     alpha = RatMatrix.from_entries(3, 2, {(0, 0): 1, (1, 1): 1})
     delta = RatMatrix.from_entries(3, 2, {(1, 0): 1, (2, 1): 1})
@@ -1718,6 +1821,18 @@ def test_decompose_labels_a_pile_iff_it_is_a_module(pile):
         assert module
         assert sum(map(label_dimension, labels)) == rep.dim
         assert pieces is None or labels == sorted(pieces)
+
+
+@given(perturbed_piles())
+@settings(max_examples=60, deadline=None)
+def test_peeled_core_matches_the_full_span_quotient_on_piles(pile):
+    rep, _ = pile
+    try:
+        rep._weights()
+    except DecompositionError:
+        assume(False)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_core_is_the_full_span_quotient(rep, monkeypatch)
 
 
 def test_relations_are_checked_once_where_a_module_enters(monkeypatch):
