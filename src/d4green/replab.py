@@ -1021,15 +1021,15 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
         return projectives
     core = part
     if any(tops):
-        span = []
+        maps = []
         for p, n in enumerate(part.dims):
             vectors = [{t: 1} for t in tops[p]]  # the units u, then the adu, au and du as {coordinate: entry}
             for m in [sq[p].take(range(n), tops[p])] + [x[1 - p].take(range(n), tops[1 - p]) for x in part]:
                 vectors += [{} for _ in range(m.cols)]
                 for (i, j), x in m.entries().items():
                     vectors[j - m.cols][i] = x
-            span.append(_peeled_quotient_maps(n, vectors))
-        proj, free = zip(*span)
+            maps.append(_peeled_quotient_maps(n, vectors))
+        proj, free = zip(*maps)
         core = _Graded(*(tuple(proj[1 - p] @ x[p].take(range(x[p].rows), free[p]) for p in (0, 1)) for x in part))
     return _ll2_labels(core) + projectives
 
@@ -1045,7 +1045,7 @@ def _peeled_quotient_maps(n: int, vectors: list[dict]) -> tuple[RatMatrix, list[
             holders.setdefault(i, []).append(j)
     todo, peeled = [j for j, v in enumerate(vectors) if len(v) == 1], set()
     while todo:
-        if vectors[j := todo.pop()]:  # a column emptied by an earlier peel has nothing left
+        if vectors[j := todo.pop()]:  # a vector emptied by an earlier peel has nothing left
             (i,) = vectors[j]
             peeled.add(i)
             for k in holders[i]:
