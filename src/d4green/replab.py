@@ -28,10 +28,11 @@ The decomposition works on the (b, c) weight spaces:
 2. On the bc = +1 part, weights (1,1) and (-1,-1), the four-dimensional
    projectives are injective, so they split off first: on each side the
    rank of the J^2 block x -> adx counts them.  Each takes two dimensions
-   of each side, so when the ranks k0 and k1 leave both sides with
-   2(k0 + k1) dimensions the part is all projective and the labelling
-   stops there.  Otherwise the vectors of their span with one nonzero are
-   peeled off with their coordinates, and only the rest is eliminated.
+   of each side, so the ranks k0 and k1 leave n_p - 2(k0 + k1) of the n_p
+   dimensions of side p.  When one side is left with none, the rest is a
+   pile of simples V(p) on the other side p and the labelling stops there.
+   Otherwise the vectors of their span with one nonzero are peeled off
+   with their coordinates, and only the rest is eliminated.
 3. Only the rest, of radical square zero, goes to the pencil.  For each b
    eigenvalue, the a and d blocks from the top on that side to the socle on
    the other side form a matrix pencil.  Kronecker's classification of
@@ -61,6 +62,7 @@ from .green import (
     label_dimension,
     omega,
     projective,
+    simple_one,
     simple_two,
 )
 from .linalg import (
@@ -1009,16 +1011,19 @@ def _one_dim_type_labels(part: _Graded) -> list[Label]:
     each u among them, with their coordinates, and eliminates only the rest.
 
     Each P(p) takes two dimensions of each side: u and adu on side p, au and
-    du on side 1 - p.  So with k_p the rank on side p, the projectives fill
-    the part exactly when both sides have 2(k0 + k1) dimensions, and then
-    neither the quotient nor the pencil runs.  A zero J^2 block has no
-    pivots, which its zero count shows without an elimination.
+    du on side 1 - p.  So with k_p the rank on side p, the quotient keeps
+    n_p - 2(k0 + k1) dimensions of side p.  When one side keeps none, a and
+    d on the quotient start or end there, so they are 0: the quotient is
+    that many V(p) on the other side p, and neither it nor the pencil is
+    formed.  A zero J^2 block has no pivots, which its zero count shows
+    without an elimination.
     """
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [() if m.is_zero() else m.rref()[1] for m in sq]
     projectives = [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
-    if part.dims == (2 * len(projectives),) * 2:
-        return projectives
+    left = [n - 2 * len(projectives) for n in part.dims]
+    if 0 in left:
+        return projectives + [simple_one(0)] * left[0] + [simple_one(1)] * left[1]
     core = part
     if any(tops):
         maps = []

@@ -1221,15 +1221,21 @@ def test_projectives_split_off_before_the_pencil(monkeypatch):
         return ll2(part)
 
     monkeypatch.setattr(replab, "_ll2_labels", spy)
-    l1, l2 = omega(3, 0), omega(-3, 0)
+    for s in range(2, 8):
+        l1, l2 = omega(s, 0), omega(-s, 0)
+        assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
+    # s(s + 1) P(1) + V(0): the projectives fill side 1, so the V(0) left on side 0 never reaches the pencil
+    assert seen == []
+    l1, l2 = omega(3, 0), omega(-2, 0)
     assert decompose(tensor(build(l1), build(l2))) == expand(mul_labels(l1, l2))
-    # 12 P(1) + V(0): only the one dimension of V(0) reaches the pencil
-    assert seen == [(1, 0)]
+    # 8 P(0) + O^1 V(0): the quotient keeps both sides, so only its three dimensions reach the pencil
+    assert seen == [(1, 2)]
 
 
-def _full_span_core(part):
+def _full_span_core(part, quotient_maps=linalg.quotient_maps):
     """The quotient of a bc = +1 part by its projectives as it was first taken: one elimination of the
-    whole span per side, with no vector peeled off first; the part itself when it has no projectives."""
+    whole span per side, with no vector peeled off first; the part itself when it has no projectives.
+    With quotient_maps=_peeled it is the peeled quotient, the span's vectors in the same order."""
     sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
     tops = [() if m.is_zero() else m.rref()[1] for m in sq]
     if not any(tops):
@@ -1239,7 +1245,7 @@ def _full_span_core(part):
         units = RatMatrix.from_entries(n, len(tops[p]), {(t, j): 1 for j, t in enumerate(tops[p])})
         own = [units, sq[p].take(range(n), tops[p])]
         span.append(RatMatrix.block([own + [x[1 - p].take(range(n), tops[1 - p]) for x in part]]))
-    proj, free = zip(*map(linalg.quotient_maps, span))
+    proj, free = zip(*map(quotient_maps, span))
     return replab._Graded(*(tuple(proj[1 - p] @ x[p].take(range(x[p].rows), free[p]) for p in (0, 1)) for x in part))
 
 
@@ -1250,7 +1256,7 @@ def _assert_core_is_the_full_span_quotient(rep, monkeypatch):
     monkeypatch.setattr(replab, "_ll2_labels", lambda core: cores.append(core) or [])
     replab._one_dim_type_labels(part)
     reference = _full_span_core(part)
-    for core in cores:  # none when the projectives fill the part
+    for core in cores:  # none when the projectives fill a side
         for mine, theirs in zip(core.a + core.d, reference.a + reference.d):
             assert (mine.rows, mine.cols) == (theirs.rows, theirs.cols) and mine == theirs
 
@@ -1311,6 +1317,51 @@ def test_peeled_quotient_maps_is_quotient_maps(sub):
     assert _peeled(sub) == linalg.quotient_maps(sub)
 
 
+def _pencil_labels(part):
+    """The labels of a bc = +1 part as they were taken before the stop at a filled side: the projectives,
+    then the pencil on the peeled quotient by them, even when that quotient has an empty side."""
+    sq = [part.a[1 - p] @ part.d[p] for p in (0, 1)]
+    tops = [() if m.is_zero() else m.rref()[1] for m in sq]
+    projectives = [projective(0)] * len(tops[0]) + [projective(1)] * len(tops[1])
+    if part.dims == (2 * len(projectives),) * 2:
+        return projectives
+    return replab._ll2_labels(_full_span_core(part, _peeled)) + projectives
+
+
+def _stop_matches_the_pencil(rep):
+    """Whether the bc = +1 part of rep stops before the pencil; where it does, its labels are the pencil's."""
+    part = rep._weights().plus
+    cores = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(replab, "_ll2_labels", lambda core: cores.append(core) or [])
+        labels = replab._one_dim_type_labels(part)
+    if cores:
+        return False
+    assert sorted(labels) == sorted(_pencil_labels(part))
+    return True
+
+
+def test_the_stop_at_a_filled_side_gives_the_pencils_labels():
+    import random
+
+    pairs = list(itertools.combinations_with_replacement(grid_labels(4, ETA_POOL), 2))
+    assert sum(_stop_matches_the_pencil(tensor(build(l1), build(l2))) for l1, l2 in pairs) == 901
+    rng = random.Random(11)
+    for s in (1, 2, 3):
+        assert _stop_matches_the_pencil(_conjugate(tensor(build(omega(s, 0)), build(omega(-s, 0))), rng))
+    assert _stop_matches_the_pencil(tensor(_conjugate(build(omega(3, 1)), rng), build(omega(-3, 0))))
+    # what is left lies on side 1 (V(1)) or on side 0 (V(0)), as the table says
+    for l1, l2, left in [
+        *((omega(s, 1), omega(-s, 0), simple_one(1)) for s in (1, 2, 3)),
+        *((omega(-s, 0), omega(s, 0), simple_one(0)) for s in (1, 2, 3)),
+        (simple_one(0), simple_one(1), simple_one(1)),
+    ]:
+        rep = tensor(build(l1), build(l2))
+        assert _stop_matches_the_pencil(rep), (l1, l2)
+        labels = decompose(rep)
+        assert labels == expand(mul_labels(l1, l2)) and left in labels
+
+
 def test_a_product_of_projectives_never_reaches_the_pencil(monkeypatch):
     calls = []
     ll2 = replab._ll2_labels
@@ -1322,18 +1373,21 @@ def test_a_product_of_projectives_never_reaches_the_pencil(monkeypatch):
     monkeypatch.setattr(replab, "_ll2_labels", spy)
     labels = grid_labels(2, ETA_POOL)
     projectives = {LabelKind.SIMPLE_TWO, LabelKind.PROJECTIVE}
-    wholly_projective = 0
+    one_sided = 0
     for l1, l2 in itertools.combinations_with_replacement(labels, 2):
         calls.clear()
         expected = expand(mul_labels(l1, l2))
         assert decompose(tensor(build(l1), build(l2))) == expected
-        if all(l.kind in projectives for l in expected):
-            wholly_projective += 1
+        # what the projectives leave has an empty side when it is no summand or copies of one V(r)
+        rest = {l for l in expected if l.kind not in projectives}
+        if rest <= {simple_one(0)} or rest <= {simple_one(1)}:
+            one_sided += 1
             assert calls == [], (l1, l2)
         else:
             assert len(calls) == 1, (l1, l2)
-    # the pairs with a P(r) or V(2, r) factor, and the pairs of bands at distinct η
-    assert wholly_projective == 290
+    # the 290 wholly projective pairs (a P(r) or V(2, r) factor, or two bands at distinct η),
+    # and 11 that leave copies of one V(r), such as O^s V(r) ⊗ O^-s V(r') and V(r) ⊗ V(r')
+    assert one_sided == 301
 
 
 def test_decompose_rejects_nonzero_radical_square_without_projectives():
@@ -1833,6 +1887,17 @@ def test_peeled_core_matches_the_full_span_quotient_on_piles(pile):
         assume(False)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _assert_core_is_the_full_span_quotient(rep, monkeypatch)
+
+
+@given(perturbed_piles())
+@settings(max_examples=60, deadline=None)
+def test_the_stop_at_a_filled_side_gives_the_pencils_labels_on_piles(pile):
+    rep, _ = pile
+    try:
+        rep._weights()
+    except DecompositionError:
+        assume(False)
+    _stop_matches_the_pencil(rep)
 
 
 def test_relations_are_checked_once_where_a_module_enters(monkeypatch):
